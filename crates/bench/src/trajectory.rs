@@ -61,13 +61,14 @@
 //! below its stored floor.
 
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use semre::automata::{compile, skeleton_matches, LazyDfa, Prescan, SkeletonMatcher};
 use semre_core::{Matcher, MatcherConfig, SearchKind};
 use semre_grep::stream::{scan_stream, StreamOptions};
-use semre_grep::{scan_batched, scan_batched_parallel, ScanOptions};
+use semre_grep::{scan_lines, ScanOptions};
 use semre_syntax::{skeleton, Semre};
 use semre_workloads::Workbench;
 
@@ -594,6 +595,19 @@ fn geomean(values: impl Iterator<Item = f64>) -> f64 {
     (positive.iter().map(|v| v.ln()).sum::<f64>() / positive.len() as f64).exp()
 }
 
+/// A scratch path under the temp directory, unique per call: the seed and
+/// process id alone are shared by concurrent `measure` runs in one
+/// process (two tests with the same config), which would write, scan and
+/// delete each other's trees.
+fn scratch_path(kind: &str, seed: u64, extension: &str) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!(
+        "semre-trajectory-{kind}-{seed}-{}-{unique}{extension}",
+        std::process::id()
+    ))
+}
+
 /// Best-of-`repeat` wall time of `f`, expressed as ns per line.
 fn ns_per_line(repeat: u32, lines: usize, mut f: impl FnMut()) -> f64 {
     let mut best = Duration::MAX;
@@ -646,11 +660,7 @@ fn measure_persist(config: &TrajectoryConfig) -> PersistTrajectory {
         ..CorpusTreeConfig::default()
     };
     let tree = CorpusTree::generate(&tree_config);
-    let log = std::env::temp_dir().join(format!(
-        "semre-trajectory-persist-{}-{}.log",
-        config.seed,
-        std::process::id()
-    ));
+    let log = scratch_path("persist", config.seed, ".log");
     let _ = std::fs::remove_file(&log);
 
     let pattern = r"Subject: .*(?<Medicine name>: [a-z]+).*";
@@ -669,7 +679,7 @@ fn measure_persist(config: &TrajectoryConfig) -> PersistTrajectory {
             .build_shared(pattern, shared)
             .expect("trajectory pattern compiles");
         let stream_options = StreamOptions {
-            batched: true,
+            scan: ScanOptions::batched(semre::DEFAULT_CHUNK_LINES),
             ..StreamOptions::default()
         };
         let mut verdicts = Vec::new();
@@ -761,7 +771,7 @@ fn measure_tiered_cost(config: &TrajectoryConfig) -> TieredCostTrajectory {
             .build_shared(pattern, shared)
             .expect("trajectory pattern compiles");
         let stream_options = StreamOptions {
-            batched: true,
+            scan: ScanOptions::batched(semre::DEFAULT_CHUNK_LINES),
             ..StreamOptions::default()
         };
         let mut verdicts = Vec::new();
@@ -850,7 +860,7 @@ fn measure_overlap(config: &TrajectoryConfig, workbench: &Workbench) -> OverlapT
             let sync_re = build(0);
             let over_re = build(oracle_threads);
             let scan = |re: &semre::SemRegex| -> Vec<bool> {
-                scan_batched(re, &lines, chunk, ScanOptions::unlimited())
+                scan_lines(re, &lines, ScanOptions::batched(chunk))
                     .records
                     .iter()
                     .map(|r| r.matched)
@@ -906,11 +916,7 @@ fn measure_tree_scan(config: &TrajectoryConfig) -> TreeScanTrajectory {
         ..CorpusTreeConfig::default()
     };
     let tree = CorpusTree::generate(&tree_config);
-    let root = std::env::temp_dir().join(format!(
-        "semre-trajectory-tree-{}-{}",
-        config.seed,
-        std::process::id()
-    ));
+    let root = scratch_path("tree", config.seed, "");
     let _ = std::fs::remove_dir_all(&root);
     tree.write_to(&root)
         .expect("cannot write scratch corpus tree");
@@ -970,7 +976,7 @@ fn measure_tree_scan(config: &TrajectoryConfig) -> TreeScanTrajectory {
             .expect("trajectory pattern compiles");
         let after_compile = backend.stats().calls;
         let stream_options = semre_grep::stream::StreamOptions {
-            batched: true,
+            scan: ScanOptions::batched(semre::DEFAULT_CHUNK_LINES),
             ..semre_grep::stream::StreamOptions::default()
         };
         for file in &tree.files {
@@ -1012,11 +1018,7 @@ fn measure_skewed_tree(config: &TrajectoryConfig) -> SkewedTreeTrajectory {
         ..CorpusTreeConfig::default()
     };
     let tree = CorpusTree::generate_skewed(&tree_config, 4_000);
-    let root = std::env::temp_dir().join(format!(
-        "semre-trajectory-skew-{}-{}",
-        config.seed,
-        std::process::id()
-    ));
+    let root = scratch_path("skew", config.seed, "");
     let _ = std::fs::remove_dir_all(&root);
     tree.write_to(&root)
         .expect("cannot write scratch skewed tree");
@@ -1254,10 +1256,10 @@ fn measure_spec(
         .build_semre_shared(spec.semre.clone(), Arc::clone(&spec.oracle))
         .expect("benchmark SemREs compile");
     let owned: Vec<String> = lines.iter().map(|l| (*l).clone()).collect();
-    let sequential = scan_batched(&re, &owned, 64, ScanOptions::unlimited());
+    let sequential = scan_lines(&re, &owned, ScanOptions::batched(64));
     let expected: Vec<bool> = sequential.records.iter().map(|r| r.matched).collect();
     for threads in [2, 8] {
-        let parallel = scan_batched_parallel(&re, &owned, 64, threads, ScanOptions::unlimited());
+        let parallel = scan_lines(&re, &owned, ScanOptions::batched(64).with_threads(threads));
         let got: Vec<bool> = parallel.records.iter().map(|r| r.matched).collect();
         equivalent &= got == expected;
     }
@@ -1266,11 +1268,8 @@ fn measure_spec(
     let text: String = owned.iter().map(|l| format!("{l}\n")).collect();
     let stream_options = StreamOptions {
         chunk_bytes: 64 * 1024,
-        chunk_lines: 64,
-        threads: 1,
-        batched: true,
         read_ahead: false,
-        scan: ScanOptions::unlimited(),
+        scan: ScanOptions::batched(64),
     };
     let stream = Toggle {
         fast_ns: ns_per_line(repeat, owned.len(), || {
@@ -1284,7 +1283,7 @@ fn measure_spec(
         }),
         reference_ns: ns_per_line(repeat, owned.len(), || {
             let split: Vec<&str> = text.lines().collect();
-            let report = scan_batched(&re, &split, 64, ScanOptions::unlimited());
+            let report = scan_lines(&re, &split, ScanOptions::batched(64));
             std::hint::black_box(report.matched_lines());
         }),
     };

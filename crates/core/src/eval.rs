@@ -122,13 +122,6 @@ pub struct EvalReport {
     pub vertices_alive: u64,
     /// Number of gadget copies, i.e. `|w| + 1`.
     pub positions: usize,
-    /// Set when the evaluation bailed out because a needed oracle answer
-    /// was still in flight on the overlapped resolver plane.  Every other
-    /// field is then meaningless: the caller parks the input and replays
-    /// the evaluation once the resolver has made progress (replays are
-    /// cheap — previously resolved answers come straight from the answer
-    /// store).  Always `false` on the synchronous planes.
-    pub suspended: bool,
 }
 
 /// A reference to an open vertex `(state, layer 2, position)`, packed into a
@@ -593,9 +586,8 @@ pub(crate) fn evaluate_in_session<'a>(
 /// The resumable flavour of [`evaluate_in_session`]: on an overlapped
 /// session, an evaluation whose answers are still in flight returns
 /// [`EvalOutcome::Suspended`] with everything needed to continue from the
-/// suspended position, instead of a throwaway report with
-/// [`EvalReport::suspended`] set.  Takes `scratch` by value because a
-/// suspension keeps the buffers parked with the line.
+/// suspended position.  Takes `scratch` by value because a suspension
+/// keeps the buffers parked with the line.
 pub(crate) fn try_evaluate_resumable<'a>(
     snfa: &'a Snfa,
     topo: &'a GadgetTopology,
@@ -645,12 +637,11 @@ pub(crate) fn resume_evaluation<'a>(
     let SuspendedEval {
         scratch,
         ledger,
-        mut report,
+        report,
         best,
         pos,
         search,
     } = *suspended;
-    report.suspended = false;
     let oracle = session.backend();
     let evaluator = Evaluator {
         snfa,
@@ -720,16 +711,21 @@ struct Evaluator<'a, 's, 'o> {
     search: Option<SearchKind>,
     /// Best span found so far by a search evaluation.
     best: Option<(usize, usize)>,
-    /// The position at which the evaluation suspended, recorded alongside
-    /// [`EvalReport::suspended`] so the resumable path knows where to
-    /// re-enter the position loop.  Legacy (replay-from-scratch) callers
-    /// ignore it.
+    /// The position at which the evaluation suspended on in-flight oracle
+    /// answers (overlapped sessions only), so the resumable path knows
+    /// where to re-enter the position loop.
     suspended_at: Option<usize>,
 }
 
 impl Evaluator<'_, '_, '_> {
     fn run(mut self, scratch: &mut EvalScratch) -> EvalReport {
         let mut report = self.run_inner(scratch, None);
+        // A suspended report has no verdict; only the resumable entry
+        // points may run on a session wired to a resolver pool.
+        assert!(
+            self.suspended_at.is_none(),
+            "an overlapped session suspended a non-resumable evaluation"
+        );
         if self.search.is_some() {
             report.span = self.best;
             report.matched = self.best.is_some();
@@ -851,7 +847,6 @@ impl Evaluator<'_, '_, '_> {
                 && !self.collect_close_queries(pos, layer1, &allowed, close_cache, loq)
             {
                 self.report.oracle_calls = calls_at_pos;
-                self.report.suspended = true;
                 self.suspended_at = Some(pos);
                 return self.report;
             }
@@ -864,7 +859,6 @@ impl Evaluator<'_, '_, '_> {
                 }
                 if !self.eval_close_vertex(t, pos, layer1, close_cache, loq) {
                     self.report.oracle_calls = calls_at_pos;
-                    self.report.suspended = true;
                     self.suspended_at = Some(pos);
                     return self.report;
                 }

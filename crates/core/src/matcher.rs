@@ -333,8 +333,10 @@ impl<O: Oracle> Matcher<O> {
 
     /// A fresh [`BatchSession`] whose straggler flushes go through `pool`
     /// instead of blocking on the backend: batches the pool cannot answer
-    /// yet leave the evaluation [suspended](EvalReport::suspended), to be
-    /// replayed once the pool has made progress.
+    /// yet suspend the evaluation, which
+    /// [`try_run_in_session`](Matcher::try_run_in_session) hands back for
+    /// [`resume_run_in_session`](Matcher::resume_run_in_session) once the
+    /// pool has made progress.
     pub fn session_with_pool<'s>(&'s self, pool: &'s ResolverPool) -> BatchSession<'s> {
         BatchSession::with_pool(&self.oracle, pool)
     }
@@ -342,6 +344,12 @@ impl<O: Oracle> Matcher<O> {
     /// Like [`run`](Matcher::run), but resolves oracle questions through
     /// `session`, batching and deduplicating across every evaluation that
     /// shares it.  Always uses the batched plane.
+    ///
+    /// # Panics
+    ///
+    /// If `session` is wired to a resolver pool and the evaluation
+    /// suspends on in-flight answers; such sessions go through
+    /// [`try_run_in_session`](Matcher::try_run_in_session).
     pub fn run_in_session(&self, input: &[u8], session: &mut BatchSession<'_>) -> EvalReport {
         if self.skeleton_rejects(input) {
             return EvalReport {
@@ -367,10 +375,9 @@ impl<O: Oracle> Matcher<O> {
     /// [`run_in_session`](Matcher::run_in_session): on a session wired to a
     /// resolver pool ([`session_with_pool`](Matcher::session_with_pool)), a
     /// line whose oracle answers are still in flight returns `Err` with the
-    /// parked evaluation instead of a throwaway suspended report.  Resume
-    /// it with [`resume_run_in_session`](Matcher::resume_run_in_session)
-    /// once the pool has made progress.  Sessions without a pool never
-    /// suspend.
+    /// parked evaluation.  Resume it with
+    /// [`resume_run_in_session`](Matcher::resume_run_in_session) once the
+    /// pool has made progress.  Sessions without a pool never suspend.
     pub fn try_run_in_session(
         &self,
         input: &[u8],
@@ -813,15 +820,19 @@ mod tests {
         ];
         let mut suspensions = 0u32;
         for line in lines {
+            let mut session = matcher.session_with_pool(&pool);
+            let mut generation = pool.generation();
+            let mut outcome = matcher.try_run_in_session(line, &mut session);
             let report = loop {
-                let generation = pool.generation();
-                let mut session = matcher.session_with_pool(&pool);
-                let report = matcher.run_in_session(line, &mut session);
-                if !report.suspended {
-                    break report;
+                match outcome {
+                    Ok(report) => break report,
+                    Err(parked) => {
+                        suspensions += 1;
+                        pool.wait_for_progress(generation);
+                        generation = pool.generation();
+                        outcome = matcher.resume_run_in_session(parked, line, &mut session);
+                    }
                 }
-                suspensions += 1;
-                pool.wait_for_progress(generation);
             };
             assert_eq!(report.matched, matcher.is_match(line), "{line:?}");
         }

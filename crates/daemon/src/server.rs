@@ -12,10 +12,13 @@
 //!
 //! Shutdown is cooperative: a `SHUTDOWN` request flips a flag and pokes
 //! the listener with a loopback connection so the accept loop observes
-//! it; the accept loop then closes the channel and joins the workers.
+//! it; the accept loop then shuts the read half of every live connection
+//! (so workers waiting on idle clients see EOF and finish), closes the
+//! channel, and joins the workers.
 
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed, Ordering::SeqCst};
 use std::sync::{mpsc, Arc, Mutex};
@@ -82,9 +85,58 @@ struct DaemonState {
     tenants: TenantRegistry,
     requests: AtomicU64,
     shutdown: AtomicBool,
+    /// Handles of the connections being served, keyed by a serial, so
+    /// shutdown can end the reads of workers waiting on idle clients.
+    live: Mutex<HashMap<u64, TcpStream>>,
+    next_connection: AtomicU64,
     request_timeout: Option<std::time::Duration>,
     max_requests_per_conn: Option<u64>,
     max_bytes_per_conn: Option<u64>,
+}
+
+impl DaemonState {
+    fn lock_live(&self) -> std::sync::MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.live
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Shuts the read half of every live connection: a worker blocked on
+    /// an idle client reads EOF, while one mid-request still writes its
+    /// response.  Called after the shutdown flag is set, so a connection
+    /// registering later sees the flag instead (both under `live`).
+    fn end_live_reads(&self) {
+        for stream in self.lock_live().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
+}
+
+/// A connection's entry in [`DaemonState::live`], removed on drop.
+struct LiveConnection<'a> {
+    state: &'a DaemonState,
+    id: u64,
+}
+
+impl<'a> LiveConnection<'a> {
+    /// Registers `stream`, or returns `None` when the server is already
+    /// shutting down (the connection is then dropped unserved).
+    fn register(state: &'a DaemonState, stream: &TcpStream) -> std::io::Result<Option<Self>> {
+        let handle = stream.try_clone()?;
+        let mut live = state.lock_live();
+        if state.shutdown.load(SeqCst) {
+            return Ok(None);
+        }
+        let id = state.next_connection.fetch_add(1, Relaxed);
+        live.insert(id, handle);
+        Ok(Some(LiveConnection { state, id }))
+    }
+}
+
+impl Drop for LiveConnection<'_> {
+    fn drop(&mut self) {
+        self.state.lock_live().remove(&self.id);
+    }
 }
 
 /// A bound, not-yet-running `semred` server.
@@ -142,6 +194,8 @@ impl Server {
             tenants: TenantRegistry::new(persist, config.budget),
             requests: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
+            live: Mutex::new(HashMap::new()),
+            next_connection: AtomicU64::new(0),
             request_timeout: config.request_timeout,
             max_requests_per_conn: config.max_requests_per_conn,
             max_bytes_per_conn: config.max_bytes_per_conn,
@@ -214,6 +268,7 @@ impl Server {
                 break; // all workers gone
             }
         }
+        self.state.end_live_reads();
         drop(handoff);
         for worker in workers {
             let _ = worker.join();
@@ -241,6 +296,9 @@ impl Server {
 
 /// Serves one connection until EOF, `QUIT`, `SHUTDOWN`, or an I/O error.
 fn handle_connection(state: &Arc<DaemonState>, stream: TcpStream) -> std::io::Result<()> {
+    let Some(_live) = LiveConnection::register(state, &stream)? else {
+        return Ok(()); // shutting down
+    };
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);

@@ -265,3 +265,39 @@ fn field(line: &str, name: &str) -> u64 {
         .find_map(|part| part.strip_prefix(&format!("{name}="))?.parse().ok())
         .unwrap_or_else(|| panic!("no {name}= field in {line:?}"))
 }
+
+/// `SHUTDOWN` ends the server even while another client holds an idle
+/// connection open — its worker is waiting for that client's next
+/// request — and the answer log is synced by the time `run` returns.
+#[test]
+fn shutdown_returns_while_another_client_idles() {
+    let dir = temp_dir("idle");
+    let log = dir.join("answers.log");
+    let _ = std::fs::remove_file(&log);
+    let handle = spawn(ServerConfig {
+        answer_log: Some(log.clone()),
+        ..ServerConfig::default()
+    });
+    let mut client = DaemonClient::connect(handle.addr).unwrap();
+    let pattern_handle = client.compile("sim-llm", MEMBERSHIP).unwrap();
+    let scan = client
+        .scan(pattern_handle, b"Subject: buy xanax online now\n")
+        .unwrap();
+    assert_eq!(scan.matched, 1);
+    // Served once, so a worker is now blocked reading this connection.
+    let mut idle = DaemonClient::connect(handle.addr).unwrap();
+    idle.ping().unwrap();
+
+    client.shutdown().unwrap();
+    let (done, joined) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done.send(handle.join()));
+    joined
+        .recv_timeout(std::time::Duration::from_secs(5))
+        .expect("run returns within 5 s while another client idles")
+        .unwrap();
+
+    let store = semre::PersistentAnswerStore::open(&log).unwrap();
+    assert!(!store.is_empty(), "the scan's answers reached the log");
+    drop(idle);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -115,15 +115,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use semre::{
-    Instrumented, OracleSpec, PersistentAnswerStore, SemRegexBuilder, SharedSession,
+    BatchStats, Instrumented, OracleSpec, PersistentAnswerStore, SemRegexBuilder, SharedSession,
     DEFAULT_CHUNK_LINES,
 };
 use semre_daemon::DaemonClient;
+use semre_oracle::OracleStats;
 
-use crate::engine::{
-    scan, scan_batched, scan_batched_parallel, scan_per_call_parallel, scan_spans,
-    scan_spans_parallel, FaultPolicy, ScanOptions,
-};
+use crate::engine::{scan_lines, scan_spans, FaultPolicy, ScanOptions};
 use crate::stream::{scan_stream, scan_stream_spans, RangeReader, StreamOptions};
 use crate::tree::{scan_tree, FileSummary, ScanUnit, TreeOptions, TreeReport};
 use crate::walk::{walk, WalkOptions};
@@ -551,12 +549,22 @@ impl CliOptions {
         }
     }
 
+    /// How a single input is scanned: the limits and fault policy, plus
+    /// the chunk size (`--chunk-lines`, defaulting to
+    /// [`DEFAULT_CHUNK_LINES`]), `--threads`, and the oracle plane.
     fn scan_options(&self) -> ScanOptions {
         ScanOptions {
             max_lines: self.max_lines,
             time_budget: self.timeout_secs.map(Duration::from_secs),
             control: semre::ScanControl::none(),
             fault_policy: self.fault_policy(),
+            chunk_lines: if self.chunk_lines == 0 {
+                DEFAULT_CHUNK_LINES
+            } else {
+                self.chunk_lines
+            },
+            threads: self.threads.max(1),
+            batched: self.batched,
         }
     }
 
@@ -570,15 +578,13 @@ impl CliOptions {
 /// The compiled artifacts one run needs: the facade handle, the
 /// instrumented oracle behind it, the cross-file shared session (multi-file
 /// runs only), the retry counters when the oracle spec has a retry layer,
-/// the tier counters when it has a `tiered:` registry stack, and the
-/// resolved batch-chunk size.
+/// and the tier counters when it has a `tiered:` registry stack.
 struct Compiled {
     re: semre::SemRegex,
     oracle: Arc<Instrumented<Arc<dyn semre::Oracle>>>,
     session: Option<SharedSession>,
     retry: Option<Arc<semre::RetryCounters>>,
     tiers: Option<Arc<semre::TierCounters>>,
-    chunk: usize,
 }
 
 fn compile(options: &CliOptions) -> Result<Compiled, CliError> {
@@ -608,11 +614,6 @@ fn compile_with(options: &CliOptions, share_across_files: bool) -> Result<Compil
         backend
     };
     let oracle = Arc::new(Instrumented::new(backend));
-    let chunk = if options.chunk_lines == 0 {
-        DEFAULT_CHUNK_LINES
-    } else {
-        options.chunk_lines
-    };
     // Without --batched the per-call plane keeps the per-line
     // `oracle_calls` statistic meaning what it says: one backend call per
     // logical oracle question.
@@ -640,12 +641,13 @@ fn compile_with(options: &CliOptions, share_across_files: bool) -> Result<Compil
     } else {
         (instrumented, None)
     };
+    let scan = options.scan_options();
     let mut builder = SemRegexBuilder::new()
         .dp_baseline(options.baseline)
-        .batched(options.batched)
+        .batched(scan.batched)
         .prescan(!options.no_prescan)
-        .chunk_lines(chunk)
-        .threads(options.threads.max(1));
+        .chunk_lines(scan.chunk_lines)
+        .threads(scan.threads);
     if options.stream_chunk_bytes != 0 {
         builder = builder.stream_chunk_bytes(options.stream_chunk_bytes);
     }
@@ -665,7 +667,6 @@ fn compile_with(options: &CliOptions, share_across_files: bool) -> Result<Compil
         session,
         retry,
         tiers,
-        chunk,
     })
 }
 
@@ -792,39 +793,31 @@ pub fn run_on_text(options: &CliOptions, text: &str) -> Result<CliOutcome, CliEr
         oracle,
         retry,
         tiers,
-        chunk,
         ..
     } = compile(options)?;
-    let threads = re.threads();
+    let scan_options = options.scan_options();
+    let threads = scan_options.threads;
 
     let lines: Vec<&str> = text.lines().collect();
-    let mut outcome = CliOutcome::default();
-    let report;
+    // Snapshot after compilation so construction-time (q, ε) probes do
+    // not count against the scan.
+    let oracle_before = oracle.stats();
+    // Only the first span per line is needed when nothing but the count
+    // will be printed.
+    let (report, spans_per_line) = if options.span_mode() {
+        scan_spans(&re, &lines, scan_options, options.count_only)
+    } else {
+        (scan_lines(&re, &lines, scan_options), Vec::new())
+    };
+    let oracle_delta = oracle.stats() - oracle_before;
 
-    if options.span_mode() {
-        // Only the first span per line is needed when nothing but the
-        // count will be printed.
-        let (span_report, spans_per_line) = if threads > 1 {
-            scan_spans_parallel(
-                &re,
-                &lines,
-                chunk,
-                threads,
-                options.scan_options(),
-                options.count_only,
-            )
-        } else {
-            scan_spans(
-                &re,
-                &lines,
-                chunk,
-                options.scan_options(),
-                options.count_only,
-            )
-        };
-        if !options.count_only {
-            for record in span_report.records.iter().filter(|r| r.matched) {
-                let line = lines[record.index];
+    let mut outcome = CliOutcome::default();
+    if options.count_only {
+        outcome.stdout = vec![report.matched_lines().to_string()];
+    } else {
+        for record in report.records.iter().filter(|r| r.matched) {
+            let line = lines[record.index];
+            if options.span_mode() {
                 for &(start, end) in &spans_per_line[record.index] {
                     let (start, end) = snap_span(line, start, end);
                     let span = &line[start..end];
@@ -836,42 +829,20 @@ pub fn run_on_text(options: &CliOptions, text: &str) -> Result<CliOutcome, CliEr
                         outcome.stdout.push(span.to_owned());
                     }
                 }
-            }
-        }
-        report = span_report;
-    } else {
-        report = if threads > 1 {
-            if options.batched {
-                scan_batched_parallel(&re, &lines, chunk, threads, options.scan_options())
+            } else if options.color {
+                // Presentational only: membership decided which lines
+                // match; `find_iter` locates the spans to highlight.
+                let spans: Vec<(usize, usize)> = re
+                    .find_iter(line.as_bytes())
+                    .map(|m| (m.start(), m.end()))
+                    .collect();
+                outcome.stdout.push(highlight_spans(line, &spans));
             } else {
-                scan_per_call_parallel(&re, &lines, chunk, threads, options.scan_options())
-            }
-        } else if options.batched {
-            scan_batched(&re, &lines, chunk, options.scan_options())
-        } else {
-            scan(&re, &lines, || oracle.stats(), options.scan_options())
-        };
-        if !options.count_only {
-            for record in report.records.iter().filter(|r| r.matched) {
-                let line = lines[record.index];
-                if options.color {
-                    // Presentational only: membership decided which lines
-                    // match; `find_iter` locates the spans to highlight.
-                    let spans: Vec<(usize, usize)> = re
-                        .find_iter(line.as_bytes())
-                        .map(|m| (m.start(), m.end()))
-                        .collect();
-                    outcome.stdout.push(highlight_spans(line, &spans));
-                } else {
-                    outcome.stdout.push(line.to_owned());
-                }
+                outcome.stdout.push(line.to_owned());
             }
         }
     }
 
-    if options.count_only {
-        outcome.stdout = vec![report.matched_lines().to_string()];
-    }
     let degraded: Vec<u64> = report.degraded.iter().map(|&i| i as u64).collect();
     let had_fault = push_fault_warnings(
         &mut outcome.stderr,
@@ -898,30 +869,14 @@ pub fn run_on_text(options: &CliOptions, text: &str) -> Result<CliOutcome, CliEr
             report.rt_total_ms(),
             report.rt_matched_ms()
         ));
-        if !options.batched && !options.span_mode() && threads <= 1 {
-            // Per-line oracle attribution only exists on the sequential
-            // per-call membership path; batched, span, and parallel scans
-            // attribute oracle work to chunks, not lines.
-            outcome.stderr.push(format!(
-                "oracle_calls={:.3}/line oracle_fraction={:.3} query_chars={:.3}/line",
-                report.oracle_calls_per_line(),
-                report.oracle_fraction(),
-                report.query_chars_per_line()
-            ));
-        }
-        if options.batched {
-            // Span scans on the per-call plane bypass the chunk session, so
-            // the batch counters would all be zero there.
-            outcome.stderr.push(format!(
-                "batches={} keys_submitted={} keys_deduped={} backend_keys={} dedup_ratio={:.3} mean_batch={:.2}",
-                report.batch.batches,
-                report.batch.keys_submitted,
-                report.batch.keys_deduped,
-                report.batch.backend_keys,
-                report.batch_dedup_ratio(),
-                report.mean_batch_size()
-            ));
-        }
+        push_scan_stats(
+            &mut outcome.stderr,
+            options,
+            oracle_delta,
+            report.lines() as u64,
+            report.total_duration,
+            &report.batch,
+        );
         push_resolver_stats(&mut outcome.stderr, &re);
         push_retry_stats(&mut outcome.stderr, retry.as_ref());
         push_tier_stats(&mut outcome.stderr, tiers.as_ref());
@@ -934,6 +889,56 @@ pub fn run_on_text(options: &CliOptions, text: &str) -> Result<CliOutcome, CliEr
         1
     };
     Ok(outcome)
+}
+
+/// Appends the oracle-plane `--stats` lines of one scanned input.
+///
+/// On the sequential per-call membership path the `Instrumented` counters
+/// mean one backend call per logical question, so the `oracle_calls=`
+/// line reports the scan's oracle delta per line, and the fraction of the
+/// scan's wall time spent in the oracle.  Batched, span and parallel scans
+/// attribute oracle work to chunks, not lines, and print no such line.
+/// Batched runs print the `batches=` line of the chunk sessions (span
+/// scans on the per-call plane bypass the chunk session, so its counters
+/// would all be zero there).
+fn push_scan_stats(
+    stderr: &mut Vec<String>,
+    options: &CliOptions,
+    oracle: OracleStats,
+    lines: u64,
+    scan_time: Duration,
+    batch: &BatchStats,
+) {
+    if !options.batched && !options.span_mode() && options.threads <= 1 {
+        let lines = lines.max(1) as f64;
+        let fraction = if scan_time.is_zero() {
+            0.0
+        } else {
+            (oracle.oracle_time().as_secs_f64() / scan_time.as_secs_f64()).min(1.0)
+        };
+        stderr.push(format!(
+            "oracle_calls={:.3}/line oracle_fraction={fraction:.3} query_chars={:.3}/line",
+            oracle.calls as f64 / lines,
+            oracle.query_bytes as f64 / lines
+        ));
+    }
+    if options.batched {
+        push_batch_stats(stderr, batch);
+    }
+}
+
+/// Appends the `batches=` line of the chunk sessions' [`BatchStats`]
+/// (perfbench parses it; keep the keys and their order).
+fn push_batch_stats(stderr: &mut Vec<String>, batch: &BatchStats) {
+    stderr.push(format!(
+        "batches={} keys_submitted={} keys_deduped={} backend_keys={} dedup_ratio={:.3} mean_batch={:.2}",
+        batch.batches,
+        batch.keys_submitted,
+        batch.keys_deduped,
+        batch.backend_keys,
+        batch.dedup_ratio(),
+        batch.mean_batch_size()
+    ));
 }
 
 /// Appends the resolver-plane `--stats` line when overlapped resolution is
@@ -1068,18 +1073,14 @@ fn run_stream_with<R: Read + Send, W: Write>(
         oracle,
         retry,
         tiers,
-        chunk,
         ..
     } = compile(options)?;
-    let threads = re.threads();
     let stream_options = StreamOptions {
         chunk_bytes: re.stream_chunk_bytes(),
-        chunk_lines: chunk,
-        threads,
-        batched: options.batched,
         read_ahead,
         scan: options.scan_options(),
     };
+    let threads = stream_options.scan.threads;
     // Snapshot after compilation so construction-time (q, ε) probes do
     // not count against the scan, mirroring the in-memory attribution.
     let oracle_before = oracle.stats();
@@ -1131,6 +1132,7 @@ fn run_stream_with<R: Read + Send, W: Write>(
         })
     }
     .map_err(|e| CliError::new(format!("cannot read input: {e}")))?;
+    let oracle_delta = oracle.stats() - oracle_before;
     if let Some(e) = write_error {
         return Err(CliError::new(format!("cannot write output: {e}")));
     }
@@ -1165,43 +1167,14 @@ fn run_stream_with<R: Read + Send, W: Write>(
             report.rt_total_ms(),
             report.mb_per_s()
         ));
-        if !options.batched && !options.span_mode() && threads <= 1 {
-            // Sequential per-call membership: the Instrumented counters
-            // mean one backend call per logical question, as in the
-            // in-memory path (the fraction is of total scan wall time,
-            // I/O included).
-            let delta = oracle.stats() - oracle_before;
-            let lines = report.lines.max(1) as f64;
-            let fraction = if report.total_duration.is_zero() {
-                0.0
-            } else {
-                (delta.oracle_time().as_secs_f64() / report.total_duration.as_secs_f64()).min(1.0)
-            };
-            outcome.stderr.push(format!(
-                "oracle_calls={:.3}/line oracle_fraction={fraction:.3} query_chars={:.3}/line",
-                delta.calls as f64 / lines,
-                delta.query_bytes as f64 / lines
-            ));
-        }
-        if options.batched {
-            outcome.stderr.push(format!(
-                "batches={} keys_submitted={} keys_deduped={} backend_keys={} dedup_ratio={:.3} mean_batch={:.2}",
-                report.batch.batches,
-                report.batch.keys_submitted,
-                report.batch.keys_deduped,
-                report.batch.backend_keys,
-                if report.batch.keys_submitted == 0 {
-                    0.0
-                } else {
-                    report.batch.keys_deduped as f64 / report.batch.keys_submitted as f64
-                },
-                if report.batch.batches == 0 {
-                    0.0
-                } else {
-                    report.batch.keys_submitted as f64 / report.batch.batches as f64
-                }
-            ));
-        }
+        push_scan_stats(
+            &mut outcome.stderr,
+            options,
+            oracle_delta,
+            report.lines,
+            report.total_duration,
+            &report.batch,
+        );
         push_resolver_stats(&mut outcome.stderr, &re);
         push_retry_stats(&mut outcome.stderr, retry.as_ref());
         push_tier_stats(&mut outcome.stderr, tiers.as_ref());
@@ -1292,7 +1265,6 @@ pub fn run_paths<W: Write + Send>(
         session,
         retry,
         tiers,
-        chunk,
     } = compile_with(options, true)?;
     let session = session.expect("multi-file compile interposes a session");
     // --count ignores --heading: a count is one line per file, and a bare
@@ -1305,15 +1277,12 @@ pub fn run_paths<W: Write + Send>(
         && !heading;
     let stream_options = StreamOptions {
         chunk_bytes: re.stream_chunk_bytes(),
-        chunk_lines: chunk,
-        // File-level parallelism: each file is scanned sequentially; the
-        // workers of `scan_tree` provide the concurrency.
-        threads: 1,
-        batched: options.batched,
         // Files are seekable, so each worker double-buffers its reads
         // (no effect on the --no-stream in-memory slices).
         read_ahead: options.streaming(),
-        scan: options.scan_options(),
+        // File-level parallelism: each file is scanned sequentially; the
+        // workers of `scan_tree` provide the concurrency.
+        scan: options.scan_options().with_threads(1),
     };
 
     let scan_unit = |unit: &ScanUnit, path: &Path, buffer: &mut Vec<u8>| {
@@ -1602,15 +1571,7 @@ file_bytes={} compactions={} syncs={} write_errors={}",
         ));
     }
     if options.batched {
-        outcome.stderr.push(format!(
-            "batches={} keys_submitted={} keys_deduped={} backend_keys={} dedup_ratio={:.3} mean_batch={:.2}",
-            report.batch.batches,
-            report.batch.keys_submitted,
-            report.batch.keys_deduped,
-            report.batch.backend_keys,
-            report.batch.dedup_ratio(),
-            report.batch.mean_batch_size()
-        ));
+        push_batch_stats(&mut outcome.stderr, &report.batch);
     }
     push_resolver_stats(&mut outcome.stderr, re);
     push_retry_stats(&mut outcome.stderr, retry);
@@ -2467,6 +2428,32 @@ mod tests {
         line.split_whitespace()
             .find_map(|part| part.strip_prefix(&format!("{name}="))?.parse().ok())
             .unwrap_or_else(|| panic!("no {name}= field in {line:?}"))
+    }
+
+    #[test]
+    fn stream_and_in_memory_batch_stats_agree() {
+        let pattern = "Subject: .*(?<Medicine name>: [a-z]+).*";
+        // Repeated lines: the chunk session answers the repeats, so more
+        // keys are submitted than reach the backend.
+        let text = "Subject: cheap viagra now\nSubject: weekly sync\n\
+                    Subject: cheap viagra now\nSubject: cheap viagra now\n";
+        let options = CliOptions::parse(["--batched", "--stats", pattern]).unwrap();
+        let batch_line = |outcome: &CliOutcome| {
+            outcome
+                .stderr
+                .iter()
+                .find(|line| line.starts_with("batches="))
+                .cloned()
+                .expect("batched --stats prints a batches= line")
+        };
+        let in_memory = batch_line(&run_on_text(&options, text).unwrap());
+        let mut out = Vec::new();
+        let streamed = batch_line(&run_stream(&options, text.as_bytes(), &mut out).unwrap());
+        assert!(stat(&in_memory, "keys_deduped") > 0, "{in_memory}");
+        assert_eq!(
+            streamed, in_memory,
+            "mean_batch must not depend on --stream"
+        );
     }
 
     #[test]

@@ -1,17 +1,24 @@
 //! The line-oriented scanning engine of `grep_O`.
 //!
 //! Like the paper's prototype, the engine treats each input line as an
-//! independent membership query: it runs a [`LineMatcher`] on every line,
-//! records per-line timing and oracle usage, honours an optional time
-//! budget (the paper uses 40 minutes per run), and can fan the work out
-//! over several threads when per-line statistics are not needed.
+//! independent membership query.  One chunk driver runs every scan: it
+//! claims `chunk_lines`-sized chunks (over `threads` workers, or inline
+//! on the calling thread), gives each chunk its own [`BatchSession`],
+//! parks and resumes lines whose oracle answers are in flight, applies
+//! the [`FaultPolicy`] and the line/time limits, and reassembles the
+//! records in line order.  Three entry points sit on it:
+//!
+//! * [`scan_lines`] — membership on the plane [`ScanOptions`] names;
+//! * [`scan_spans`] — span search, with each line's spans;
+//! * [`scan`] — sequential per-call membership with per-line oracle
+//!   attribution, the Table 2 measurement.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use semre::SemRegex;
+use semre::{SemRegex, DEFAULT_CHUNK_LINES};
 use semre_core::{DpMatcher, Matcher, SuspendedMatch};
 use semre_oracle::{
     clear_fault, fault_pending, take_fault, BatchSession, Oracle, OracleError, OracleStats,
@@ -42,22 +49,9 @@ pub trait LineMatcher: Sync {
     /// A short name identifying the algorithm ("snfa" or "dp").
     fn algorithm(&self) -> &'static str;
 
-    /// Suspension-aware membership: `None` means the verdict depends on
-    /// oracle answers still in flight on the overlapped plane — the scan
-    /// parks the line and replays it after the resolver pool has made
-    /// progress.  Synchronous matchers (the default) always answer.
-    fn try_matches_line_in_session(
-        &self,
-        line: &[u8],
-        session: &mut BatchSession<'_>,
-    ) -> Option<bool> {
-        Some(self.matches_line_in_session(line, session))
-    }
-
-    /// The resumable flavour of
-    /// [`try_matches_line_in_session`](LineMatcher::try_matches_line_in_session):
-    /// `Err` carries the evaluation parked at the position whose oracle
-    /// answers are still in flight, and
+    /// Suspension-aware membership through `session`: `Err` carries the
+    /// evaluation parked at the position whose oracle answers are still in
+    /// flight on the overlapped plane, and
     /// [`resume_matches_line`](LineMatcher::resume_matches_line) continues
     /// from exactly there — so a parked line costs `O(|line|)` evaluator
     /// work across all resumptions, not one full replay per flush point.
@@ -114,14 +108,6 @@ impl LineMatcher for SemRegex {
 
     fn algorithm(&self) -> &'static str {
         SemRegex::algorithm(self)
-    }
-
-    fn try_matches_line_in_session(
-        &self,
-        line: &[u8],
-        session: &mut BatchSession<'_>,
-    ) -> Option<bool> {
-        SemRegex::try_is_match_in_session(self, line, session)
     }
 
     fn try_matches_line_suspending(
@@ -231,8 +217,11 @@ impl FaultPolicy {
     }
 }
 
-/// Options controlling a scan.
-#[derive(Clone, Debug, Default)]
+/// Options controlling a scan: how lines are chunked, spread over
+/// threads and resolved (the oracle plane), plus the limits and the fault
+/// policy.  Every scan entry point — in memory or streaming — reads these
+/// from here.
+#[derive(Clone, Debug)]
 pub struct ScanOptions {
     /// Stop scanning (reporting `timed_out`) once this much wall-clock time
     /// has elapsed.
@@ -245,10 +234,36 @@ pub struct ScanOptions {
     pub control: ScanControl,
     /// What to do when the oracle plane faults on a line.
     pub fault_policy: FaultPolicy,
+    /// Lines per chunk.  Each chunk gets one [`BatchSession`], so on the
+    /// batched plane the chunk is the scope of cross-line deduplication.
+    pub chunk_lines: usize,
+    /// Worker threads claiming chunks (`<= 1` scans inline on the calling
+    /// thread).  Records come back in line order for any thread count.
+    pub threads: usize,
+    /// The oracle plane of membership scans: `true` decides lines through
+    /// the chunk session (batched, deduplicated, and overlapped when the
+    /// matcher has a resolver pool); `false` decides every line through
+    /// [`LineMatcher::matches_line`], the paper prototype's per-call
+    /// transport.  Span scans follow the handle's own plane.
+    pub batched: bool,
+}
+
+impl Default for ScanOptions {
+    fn default() -> Self {
+        ScanOptions {
+            time_budget: None,
+            max_lines: None,
+            control: ScanControl::default(),
+            fault_policy: FaultPolicy::default(),
+            chunk_lines: DEFAULT_CHUNK_LINES,
+            threads: 1,
+            batched: false,
+        }
+    }
 }
 
 impl ScanOptions {
-    /// No limits: scan every line.
+    /// No limits: scan every line, sequentially, on the per-call plane.
     pub fn unlimited() -> Self {
         ScanOptions::default()
     }
@@ -259,6 +274,23 @@ impl ScanOptions {
             time_budget: Some(budget),
             ..ScanOptions::default()
         }
+    }
+
+    /// No limits, on the batched plane with `chunk_lines` lines per chunk
+    /// session.
+    pub fn batched(chunk_lines: usize) -> Self {
+        ScanOptions {
+            chunk_lines,
+            batched: true,
+            ..ScanOptions::default()
+        }
+    }
+
+    /// Returns `self` scanning with `threads` workers.
+    #[must_use]
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads;
+        self
     }
 
     /// Returns `self` with the cooperative [`ScanControl`] installed.
@@ -320,65 +352,6 @@ fn apply_fault_policy(
     }
 }
 
-/// Scans `lines` sequentially with `matcher`, snapshotting `oracle_stats`
-/// around every line so that oracle usage can be attributed per line.
-///
-/// Pass a closure returning [`OracleStats::default`] when oracle accounting
-/// is not needed.
-pub fn scan<M, L, F>(matcher: &M, lines: &[L], oracle_stats: F, options: ScanOptions) -> ScanReport
-where
-    M: LineMatcher + ?Sized,
-    L: AsRef<[u8]>,
-    F: Fn() -> OracleStats,
-{
-    let started = Instant::now();
-    let mut report = ScanReport::default();
-    clear_fault();
-    for (index, line) in lines.iter().enumerate() {
-        if let Some(max) = options.max_lines {
-            if index >= max {
-                break;
-            }
-        }
-        if let Some(budget) = options.time_budget {
-            if started.elapsed() >= budget {
-                report.timed_out = true;
-                break;
-            }
-        }
-        if let Some(interrupt) = options.control.interrupted() {
-            report.interrupted = Some(interrupt);
-            break;
-        }
-        let line = line.as_ref();
-        let before = oracle_stats();
-        let line_start = Instant::now();
-        let matched = matcher.matches_line(line);
-        let duration = line_start.elapsed();
-        let oracle = oracle_stats() - before;
-        let record = LineRecord {
-            index,
-            length: line.len(),
-            matched,
-            degraded: false,
-            duration,
-            oracle,
-        };
-        let mut outcome = FaultOutcome::default();
-        let (keep, abort) = apply_fault_policy(options.fault_policy, record, &mut outcome);
-        if let Some(record) = keep {
-            report.records.push(record);
-        }
-        report.degraded.extend(outcome.degraded);
-        if abort {
-            report.fault = outcome.fault;
-            break;
-        }
-    }
-    report.total_duration = started.elapsed();
-    report
-}
-
 /// The session a chunk scan works through: wired to the matcher's
 /// resolver pool when `overlapped` is requested and the matcher has one,
 /// plain otherwise.
@@ -412,21 +385,22 @@ struct Parked {
 /// a [`FaultPolicy::Fail`] fault aborts the drain, abandoning the remaining
 /// parked lines (the resolver pool completes their keys with placeholders,
 /// so nothing blocks — the scan is stopping anyway).
-fn drain_parked<M, T>(
+fn drain_parked<M, T, F>(
     matcher: &M,
     session: &mut BatchSession<'_>,
     mut parked: Vec<Parked>,
     policy: FaultPolicy,
     outcome: &mut FaultOutcome,
-    mut resume: impl FnMut(
-        &M,
-        SuspendedMatch,
-        &[u8],
-        &mut BatchSession<'_>,
-    ) -> Result<(bool, T), SuspendedMatch>,
+    per_line: &F,
 ) -> Vec<(LineRecord, T)>
 where
     M: LineMatcher + ?Sized,
+    F: Fn(
+        &M,
+        &[u8],
+        &mut BatchSession<'_>,
+        Option<SuspendedMatch>,
+    ) -> Result<(bool, T), SuspendedMatch>,
 {
     let mut records = Vec::with_capacity(parked.len());
     while !parked.is_empty() {
@@ -447,7 +421,7 @@ where
             } = entry;
             let from = state.position();
             let line_start = Instant::now();
-            match resume(matcher, state, &line, session) {
+            match per_line(matcher, &line, session, Some(state)) {
                 Ok((matched, extra)) => {
                     pool.note_resume();
                     advanced = true;
@@ -486,273 +460,44 @@ where
     records
 }
 
-/// Shared driver for chunk-session scans: one session per
-/// `chunk_lines`-sized chunk, the `max_lines` / `time_budget` limits, and
-/// batch-stats accumulation.  `match_line` decides one line through the
-/// chunk's session (recording whatever per-line detail it needs on the
-/// side); `Err` parks the line for completion-driven resumption through
-/// `resume_line` (overlapped plane only — with `overlapped` off, or on
-/// synchronous matchers, every line answers immediately).
-fn scan_in_chunks<M, L>(
+/// The one scan driver.  Chunks of `options.chunk_lines` lines are
+/// claimed off a shared counter by `options.threads` workers (inline on
+/// the calling thread when `threads <= 1`); each chunk owns one
+/// [`BatchSession`], and the per-chunk results are reassembled in chunk
+/// order afterwards — so for a scan that runs to completion the records
+/// (and any output derived from them) are identical for any thread count.
+///
+/// `per_line` decides one line through the chunk's session and returns
+/// the verdict plus a per-line extra (the matched spans, the oracle
+/// delta, …); extras are returned indexed by absolute line number.  Given
+/// a parked evaluation it resumes that instead.  `Err` parks the line for
+/// completion-driven resumption — only on the `overlapped` plane; closures
+/// that never suspend pass `overlapped: false`.
+fn scan_chunks<M, L, T, F>(
     matcher: &M,
     lines: &[L],
-    chunk_lines: usize,
-    options: ScanOptions,
-    overlapped: bool,
-    mut match_line: impl FnMut(&M, usize, &[u8], &mut BatchSession<'_>) -> Result<bool, SuspendedMatch>,
-    mut resume_line: impl FnMut(
-        &M,
-        SuspendedMatch,
-        &[u8],
-        &mut BatchSession<'_>,
-    ) -> Result<bool, SuspendedMatch>,
-) -> ScanReport
-where
-    M: LineMatcher + ?Sized,
-    L: AsRef<[u8]>,
-{
-    let started = Instant::now();
-    let chunk_lines = chunk_lines.max(1);
-    let mut report = ScanReport::default();
-    clear_fault();
-    'scan: for (chunk_index, chunk) in lines.chunks(chunk_lines).enumerate() {
-        let mut session = chunk_session(matcher, overlapped);
-        let mut stop = false;
-        let mut chunk_records: Vec<(LineRecord, ())> = Vec::with_capacity(chunk.len());
-        let mut parked: Vec<Parked> = Vec::new();
-        let mut outcome = FaultOutcome::default();
-        for (offset, line) in chunk.iter().enumerate() {
-            let index = chunk_index * chunk_lines + offset;
-            if let Some(max) = options.max_lines {
-                if index >= max {
-                    stop = true;
-                    break;
-                }
-            }
-            if let Some(budget) = options.time_budget {
-                if started.elapsed() >= budget {
-                    report.timed_out = true;
-                    stop = true;
-                    break;
-                }
-            }
-            if let Some(interrupt) = options.control.interrupted() {
-                report.interrupted = Some(interrupt);
-                stop = true;
-                break;
-            }
-            let line = line.as_ref();
-            let line_start = Instant::now();
-            match match_line(matcher, index, line, &mut session) {
-                Ok(matched) => {
-                    let record = LineRecord {
-                        index,
-                        length: line.len(),
-                        matched,
-                        degraded: false,
-                        duration: line_start.elapsed(),
-                        oracle: OracleStats::default(),
-                    };
-                    let (keep, abort) =
-                        apply_fault_policy(options.fault_policy, record, &mut outcome);
-                    if let Some(record) = keep {
-                        chunk_records.push((record, ()));
-                    }
-                    if abort {
-                        stop = true;
-                        break;
-                    }
-                }
-                Err(state) => {
-                    matcher
-                        .resolver_pool()
-                        .expect("lines suspend only on the overlapped plane")
-                        .note_suspend();
-                    parked.push(Parked {
-                        index,
-                        length: line.len(),
-                        line: line.to_vec(),
-                        state,
-                    });
-                }
-            }
-        }
-        // Every admitted line gets a verdict, even when a limit stopped
-        // the chunk early: parked lines already have questions in flight.
-        // (Except under a `Fail` abort: the scan is stopping, so the
-        // remaining parked lines are abandoned.)
-        if outcome.fault.is_none() {
-            chunk_records.extend(drain_parked(
-                matcher,
-                &mut session,
-                parked,
-                options.fault_policy,
-                &mut outcome,
-                |m, state, line, session| resume_line(m, state, line, session).map(|v| (v, ())),
-            ));
-        }
-        if let Some(error) = outcome.fault.take() {
-            report.fault = Some(error);
-            stop = true;
-        }
-        chunk_records.sort_unstable_by_key(|(record, ())| record.index);
-        report
-            .records
-            .extend(chunk_records.into_iter().map(|(record, ())| record));
-        outcome.degraded.sort_unstable();
-        report.degraded.extend(outcome.degraded);
-        report.batch = report.batch.merged(&session.stats());
-        if stop {
-            break 'scan;
-        }
-    }
-    report.total_duration = started.elapsed();
-    report
-}
-
-/// Scans `lines` with one [`BatchSession`] per `chunk_lines`-sized chunk,
-/// so oracle questions are batched within each line (the evaluator's
-/// collect phase) *and* deduplicated across the lines of a chunk — repeated
-/// domains, medicine names, or paths in a corpus reach the backend once per
-/// chunk instead of once per occurrence.
-///
-/// The per-chunk [`BatchStats`](semre_oracle::BatchStats) are accumulated
-/// into [`ScanReport::batch`]; per-line oracle attribution is not recorded
-/// (a batch belongs to a chunk, not a line).
-///
-/// On a matcher with a background resolver pool (built with
-/// `SemRegexBuilder::overlapped`), lines whose answers are in flight are
-/// parked while the scan continues, and resumed from their checkpoints as
-/// the pool publishes answers — verdicts and record order are identical to
-/// the synchronous scan.
-pub fn scan_batched<M, L>(
-    matcher: &M,
-    lines: &[L],
-    chunk_lines: usize,
-    options: ScanOptions,
-) -> ScanReport
-where
-    M: LineMatcher + ?Sized,
-    L: AsRef<[u8]>,
-{
-    scan_in_chunks(
-        matcher,
-        lines,
-        chunk_lines,
-        options,
-        true,
-        |m, _, line, session| m.try_matches_line_suspending(line, session),
-        |m, parked, line, session| m.resume_matches_line(parked, line, session),
-    )
-}
-
-/// Scans `lines` in span-search mode: every processed line is searched for
-/// its non-overlapping leftmost-earliest spans, and a line counts as
-/// matched when it has at least one.  Chunking, limits, and batch-stats
-/// accumulation behave exactly like [`scan_batched`]; the second component
-/// maps each processed line index to its spans.
-///
-/// With `first_span_only` the search of a line stops at its first span —
-/// enough to decide the line, and much cheaper when only verdicts or
-/// counts are needed.
-pub fn scan_spans<L>(
-    re: &SemRegex,
-    lines: &[L],
-    chunk_lines: usize,
-    options: ScanOptions,
-    first_span_only: bool,
-) -> (ScanReport, Vec<Vec<(usize, usize)>>)
-where
-    L: AsRef<[u8]>,
-{
-    let mut spans_per_line: Vec<Vec<(usize, usize)>> = vec![Vec::new(); lines.len()];
-    // Span search resolves synchronously (overlap applies to membership
-    // scans), so the closure always answers.
-    let report = scan_in_chunks(
-        re,
-        lines,
-        chunk_lines,
-        options,
-        false,
-        |re, index, line, session| {
-            let mut spans = line_spans(re, line, session, first_span_only);
-            // Spans computed from placeholder answers must not leak: a
-            // faulted line degrades (or fails) through the driver's
-            // policy, never reports half-decided spans.
-            if fault_pending() {
-                spans.clear();
-            }
-            let matched = !spans.is_empty();
-            spans_per_line[index] = spans;
-            Ok(matched)
-        },
-        |_, _, _, _| unreachable!("span scans run synchronously and never suspend"),
-    );
-    (report, spans_per_line)
-}
-
-/// The non-overlapping leftmost-earliest spans of one line (all of them, or
-/// just the first).  The advance rule is shared with `find_iter`.
-fn line_spans(
-    re: &SemRegex,
-    line: &[u8],
-    session: &mut BatchSession<'_>,
-    first_span_only: bool,
-) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut at = 0;
-    while at <= line.len() {
-        match re.find_at_in_session(line, at, session) {
-            Some(m) => {
-                at = m.next_search_start();
-                spans.push((m.start(), m.end()));
-                if first_span_only {
-                    break;
-                }
-            }
-            None => break,
-        }
-    }
-    spans
-}
-
-/// Work-stealing parallel driver shared by the `*_parallel` scan modes:
-/// chunks are claimed off a shared counter, each worker owns one
-/// [`BatchSession`] per chunk it processes, and the per-chunk results are
-/// reassembled in chunk order afterwards — so for a scan that runs to
-/// completion the records (and hence any output derived from them) are
-/// byte-identical to the sequential scan, for any thread count.
-///
-/// `per_line` decides one line through the chunk's session and returns the
-/// verdict plus any per-line extra (e.g. the matched spans); extras are
-/// returned indexed by absolute line number.  `Err` parks the line for
-/// completion-driven resumption through `resume` on the overlapped plane
-/// (pass `overlapped: false` for closures that always answer).
-#[allow(clippy::too_many_arguments)] // private driver; every scan mode names all eight
-fn scan_chunks_parallel<M, L, T, F, R>(
-    matcher: &M,
-    lines: &[L],
-    chunk_lines: usize,
-    threads: usize,
-    options: ScanOptions,
+    options: &ScanOptions,
     overlapped: bool,
     per_line: F,
-    resume: R,
 ) -> (ScanReport, Vec<T>)
 where
     M: LineMatcher + ?Sized,
     L: AsRef<[u8]> + Sync,
     T: Default + Send,
-    F: Fn(&M, usize, &[u8], &mut BatchSession<'_>) -> Result<(bool, T), SuspendedMatch> + Sync,
-    R: Fn(&M, SuspendedMatch, &[u8], &mut BatchSession<'_>) -> Result<(bool, T), SuspendedMatch>
+    F: Fn(
+            &M,
+            &[u8],
+            &mut BatchSession<'_>,
+            Option<SuspendedMatch>,
+        ) -> Result<(bool, T), SuspendedMatch>
         + Sync,
 {
     let started = Instant::now();
-    let chunk_lines = chunk_lines.max(1);
+    let chunk_lines = options.chunk_lines.max(1);
     let limit = options.max_lines.unwrap_or(usize::MAX).min(lines.len());
     let lines = &lines[..limit];
     let num_chunks = lines.len().div_ceil(chunk_lines);
-    let threads = threads.max(1).min(num_chunks.max(1));
+    let threads = options.threads.max(1).min(num_chunks.max(1));
     let next_chunk = AtomicUsize::new(0);
     let timed_out = AtomicBool::new(false);
     // A `Fail` fault, a tripped ScanControl, or a panicked worker stops
@@ -798,7 +543,7 @@ where
                 let index = start_line + offset;
                 let line = line.as_ref();
                 let line_start = Instant::now();
-                match per_line(matcher, index, line, &mut session) {
+                match per_line(matcher, line, &mut session, None) {
                     Ok((matched, extra)) => {
                         let record = LineRecord {
                             index,
@@ -831,6 +576,10 @@ where
                     }
                 }
             }
+            // Every admitted line gets a verdict, even when a limit
+            // stopped the chunk early: parked lines already have questions
+            // in flight.  (Except under a `Fail` abort: the scan is
+            // stopping, so the remaining parked lines are abandoned.)
             if outcome.fault.is_none() {
                 records.extend(drain_parked(
                     matcher,
@@ -838,7 +587,7 @@ where
                     parked,
                     options.fault_policy,
                     &mut outcome,
-                    &resume,
+                    &per_line,
                 ));
             }
             if let Some(error) = outcome.fault.take() {
@@ -902,154 +651,129 @@ where
     (report, extras)
 }
 
-/// Parallel [`scan_batched`]: fans the chunks out over `threads` worker
-/// threads, each chunk with its own [`BatchSession`], merging the sessions'
-/// [`BatchStats`](semre_oracle::BatchStats) and reassembling the records in
-/// line order.  A scan that runs to completion produces exactly the
-/// verdicts of the sequential scan for any `threads`; chunk boundaries (and
-/// hence cross-line deduplication scope) are the same as sequentially.
-pub fn scan_batched_parallel<M, L>(
-    matcher: &M,
-    lines: &[L],
-    chunk_lines: usize,
-    threads: usize,
-    options: ScanOptions,
-) -> ScanReport
+/// Scans `lines` for membership with the chunking, threads, plane, limits
+/// and fault policy of `options`.
+///
+/// On the batched plane each chunk shares one [`BatchSession`], so oracle
+/// questions are batched within each line (the evaluator's collect phase)
+/// *and* deduplicated across the lines of a chunk — repeated domains,
+/// medicine names, or paths reach the backend once per chunk instead of
+/// once per occurrence.  The per-chunk
+/// [`BatchStats`](semre_oracle::BatchStats) are accumulated into
+/// [`ScanReport::batch`].  On a matcher with a background resolver pool
+/// (built with `SemRegexBuilder::overlapped`), lines whose answers are in
+/// flight are parked while the scan continues, and resumed from their
+/// checkpoints as the pool publishes answers.
+///
+/// Verdicts and record order are identical for every plane, chunk size
+/// and thread count; per-line oracle attribution is not recorded (see
+/// [`scan`]).
+pub fn scan_lines<M, L>(matcher: &M, lines: &[L], options: ScanOptions) -> ScanReport
 where
     M: LineMatcher + ?Sized,
     L: AsRef<[u8]> + Sync,
 {
-    let (report, _) = scan_chunks_parallel(
+    let batched = options.batched;
+    let (report, _) = scan_chunks(
         matcher,
         lines,
-        chunk_lines,
-        threads,
-        options,
-        true,
-        |m, _, line, session| {
-            m.try_matches_line_suspending(line, session)
-                .map(|matched| (matched, ()))
-        },
-        |m, parked, line, session| {
-            m.resume_matches_line(parked, line, session)
-                .map(|matched| (matched, ()))
+        &options,
+        batched,
+        |m, line, session, parked| {
+            let matched = match parked {
+                Some(parked) => m.resume_matches_line(parked, line, session)?,
+                None if batched => m.try_matches_line_suspending(line, session)?,
+                None => m.matches_line(line),
+            };
+            Ok((matched, ()))
         },
     );
     report
 }
 
-/// Parallel membership scan on the per-call oracle plane: like
-/// [`scan_batched_parallel`] but every line is decided through
-/// [`LineMatcher::matches_line`], so no session-level batching or
-/// deduplication takes place (the paper-prototype transport, fanned out).
-pub fn scan_per_call_parallel<M, L>(
-    matcher: &M,
-    lines: &[L],
-    chunk_lines: usize,
-    threads: usize,
-    options: ScanOptions,
-) -> ScanReport
+/// Scans `lines` sequentially on the per-call plane, snapshotting
+/// `oracle_stats` around every line so that oracle usage is attributed
+/// per line in [`LineRecord::oracle`] — the Table 2 measurement.  The
+/// thread count and plane of `options` are ignored (attribution needs one
+/// line at a time); chunking, limits and the fault policy apply as in
+/// [`scan_lines`].
+///
+/// Pass [`OracleStats::default`] when oracle accounting is not needed.
+pub fn scan<M, L, F>(matcher: &M, lines: &[L], oracle_stats: F, options: ScanOptions) -> ScanReport
 where
     M: LineMatcher + ?Sized,
     L: AsRef<[u8]> + Sync,
+    F: Fn() -> OracleStats + Sync,
 {
-    let (report, _) = scan_chunks_parallel(
-        matcher,
-        lines,
-        chunk_lines,
-        threads,
-        options,
-        false,
-        |m, _, line, _session| Ok((m.matches_line(line), ())),
-        |_, _, _, _| unreachable!("per-call scans run synchronously and never suspend"),
-    );
+    let options = ScanOptions {
+        threads: 1,
+        ..options
+    };
+    let (mut report, oracle) = scan_chunks(matcher, lines, &options, false, |m, line, _, _| {
+        let before = oracle_stats();
+        let matched = m.matches_line(line);
+        Ok((matched, oracle_stats() - before))
+    });
+    for record in &mut report.records {
+        record.oracle = oracle[record.index];
+    }
     report
 }
 
-/// Parallel [`scan_spans`]: span-search over chunks fanned out across
-/// `threads` workers, returning each processed line's non-overlapping
-/// leftmost-earliest spans.  Output order and content match the sequential
-/// scan exactly when the scan runs to completion.
-pub fn scan_spans_parallel<L>(
+/// Scans `lines` in span-search mode: every processed line is searched for
+/// its non-overlapping leftmost-earliest spans, and a line counts as
+/// matched when it has at least one.  Chunking, threads, limits, and
+/// batch-stats accumulation behave exactly like [`scan_lines`]; the second
+/// component maps each processed line index to its spans.  Span search
+/// resolves synchronously, on the handle's own oracle plane.
+///
+/// With `first_span_only` the search of a line stops at its first span —
+/// enough to decide the line, and much cheaper when only verdicts or
+/// counts are needed.
+pub fn scan_spans<L>(
     re: &SemRegex,
     lines: &[L],
-    chunk_lines: usize,
-    threads: usize,
     options: ScanOptions,
     first_span_only: bool,
 ) -> (ScanReport, Vec<Vec<(usize, usize)>>)
 where
     L: AsRef<[u8]> + Sync,
 {
-    scan_chunks_parallel(
-        re,
-        lines,
-        chunk_lines,
-        threads,
-        options,
-        false,
-        |re, _, line, session| {
-            let mut spans = line_spans(re, line, session, first_span_only);
-            if fault_pending() {
-                spans.clear();
-            }
-            Ok((!spans.is_empty(), spans))
-        },
-        |_, _, _, _| unreachable!("span scans run synchronously and never suspend"),
-    )
-}
-
-/// The result of a parallel scan: only which lines matched and the total
-/// wall-clock time (per-line oracle attribution is not meaningful when
-/// lines are matched concurrently).
-#[derive(Clone, Debug, Default)]
-pub struct ParallelScanReport {
-    /// `matched[i]` tells whether line `i` matched.
-    pub matched: Vec<bool>,
-    /// Total wall-clock time of the scan.
-    pub total_duration: Duration,
-    /// Number of worker threads used.
-    pub threads: usize,
-}
-
-impl ParallelScanReport {
-    /// Number of matching lines.
-    pub fn matched_lines(&self) -> usize {
-        self.matched.iter().filter(|&&m| m).count()
-    }
-}
-
-/// Scans `lines` with `matcher` using `threads` worker threads (chunked
-/// statically).  Falls back to a single thread when `threads` is 0 or 1.
-pub fn scan_parallel<M, L>(matcher: &M, lines: &[L], threads: usize) -> ParallelScanReport
-where
-    M: LineMatcher + ?Sized,
-    L: AsRef<[u8]> + Sync,
-{
-    let started = Instant::now();
-    let threads = threads.max(1).min(lines.len().max(1));
-    let mut matched = vec![false; lines.len()];
-    if threads <= 1 {
-        for (slot, line) in matched.iter_mut().zip(lines) {
-            *slot = matcher.matches_line(line.as_ref());
+    scan_chunks(re, lines, &options, false, |re, line, session, _| {
+        let mut spans = line_spans(re, line, session, first_span_only);
+        // Spans computed from placeholder answers must not leak: a
+        // faulted line degrades (or fails) through the driver's policy,
+        // never reports half-decided spans.
+        if fault_pending() {
+            spans.clear();
         }
-    } else {
-        let chunk = lines.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (line_chunk, out_chunk) in lines.chunks(chunk).zip(matched.chunks_mut(chunk)) {
-                scope.spawn(move || {
-                    for (slot, line) in out_chunk.iter_mut().zip(line_chunk) {
-                        *slot = matcher.matches_line(line.as_ref());
-                    }
-                });
+        Ok((!spans.is_empty(), spans))
+    })
+}
+
+/// The non-overlapping leftmost-earliest spans of one line (all of them, or
+/// just the first).  The advance rule is shared with `find_iter`.
+fn line_spans(
+    re: &SemRegex,
+    line: &[u8],
+    session: &mut BatchSession<'_>,
+    first_span_only: bool,
+) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut at = 0;
+    while at <= line.len() {
+        match re.find_at_in_session(line, at, session) {
+            Some(m) => {
+                at = m.next_search_start();
+                spans.push((m.start(), m.end()));
+                if first_span_only {
+                    break;
+                }
             }
-        });
+            None => break,
+        }
     }
-    ParallelScanReport {
-        matched,
-        total_duration: started.elapsed(),
-        threads,
-    }
+    spans
 }
 
 #[cfg(test)]
@@ -1143,20 +867,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_scan_agrees_with_sequential() {
-        let m = matcher();
-        let sequential = scan(&m, &lines(), OracleStats::default, ScanOptions::unlimited());
-        for threads in [1, 2, 4, 16] {
-            let parallel = scan_parallel(&m, &lines(), threads);
-            assert_eq!(parallel.matched.len(), 4);
-            assert_eq!(parallel.matched_lines(), sequential.matched_lines());
-            let expected: Vec<bool> = sequential.records.iter().map(|r| r.matched).collect();
-            assert_eq!(parallel.matched, expected);
-            assert!(parallel.threads >= 1);
-        }
-    }
-
-    #[test]
     fn empty_input() {
         let m = matcher();
         let report = scan(
@@ -1166,9 +876,13 @@ mod tests {
             ScanOptions::unlimited(),
         );
         assert_eq!(report.lines(), 0);
-        let parallel = scan_parallel(&m, &Vec::<String>::new(), 4);
+        let parallel = scan_lines(
+            &m,
+            &Vec::<String>::new(),
+            ScanOptions::unlimited().with_threads(4),
+        );
         assert_eq!(parallel.matched_lines(), 0);
-        let batched = scan_batched(&m, &Vec::<String>::new(), 16, ScanOptions::unlimited());
+        let batched = scan_lines(&m, &Vec::<String>::new(), ScanOptions::batched(16));
         assert_eq!(batched.lines(), 0);
         assert_eq!(batched.batch.batches, 0);
     }
@@ -1189,13 +903,13 @@ mod tests {
         assert_eq!(sequential.matched_lines(), 2);
         assert_eq!(LineMatcher::algorithm(&re), "snfa");
 
-        let batched = scan_batched(&re, &lines(), 16, ScanOptions::unlimited());
+        let batched = scan_lines(&re, &lines(), ScanOptions::batched(16));
         let got: Vec<bool> = batched.records.iter().map(|r| r.matched).collect();
         let expected: Vec<bool> = sequential.records.iter().map(|r| r.matched).collect();
         assert_eq!(got, expected);
         assert!(batched.batch.keys_submitted > 0);
 
-        let parallel = scan_parallel(&re, &lines(), 2);
+        let parallel = scan_lines(&re, &lines(), ScanOptions::unlimited().with_threads(2));
         assert_eq!(parallel.matched_lines(), 2);
     }
 
@@ -1211,7 +925,7 @@ mod tests {
         let sequential_calls = sequential.oracle_totals().calls;
 
         m.oracle().reset();
-        let batched = scan_batched(&m, &corpus, corpus.len(), ScanOptions::unlimited());
+        let batched = scan_lines(&m, &corpus, ScanOptions::batched(corpus.len()));
         let batched_backend_calls = m.oracle().stats().calls;
 
         let expected: Vec<bool> = sequential.records.iter().map(|r| r.matched).collect();
@@ -1232,143 +946,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_scan_honours_chunk_boundaries_and_limits() {
-        let m = matcher();
-        let corpus = lines();
-        // Chunk size 1: every line gets a fresh session, so cross-line
-        // dedup disappears but verdicts are unchanged.
-        let per_line = scan_batched(&m, &corpus, 1, ScanOptions::unlimited());
-        let whole = scan_batched(&m, &corpus, corpus.len(), ScanOptions::unlimited());
-        assert_eq!(per_line.matched_lines(), whole.matched_lines());
-        assert!(per_line.batch.keys_submitted >= whole.batch.keys_submitted);
-
-        let limited = scan_batched(
-            &m,
-            &corpus,
-            2,
-            ScanOptions {
-                max_lines: Some(2),
-                ..ScanOptions::default()
-            },
-        );
-        assert_eq!(limited.lines(), 2);
-        assert!(!limited.timed_out);
-
-        let exhausted = scan_batched(
-            &m,
-            &corpus,
-            2,
-            ScanOptions::with_time_budget(Duration::ZERO),
-        );
-        assert_eq!(exhausted.lines(), 0);
-        assert!(exhausted.timed_out);
-    }
-
-    #[test]
-    fn parallel_batched_scan_is_identical_to_sequential() {
-        let m = matcher();
-        let mut corpus = lines();
-        corpus.extend(lines());
-        for chunk in [1, 3, 64] {
-            let sequential = scan_batched(&m, &corpus, chunk, ScanOptions::unlimited());
-            for threads in [1, 2, 8] {
-                let parallel =
-                    scan_batched_parallel(&m, &corpus, chunk, threads, ScanOptions::unlimited());
-                let got: Vec<(usize, bool)> = parallel
-                    .records
-                    .iter()
-                    .map(|r| (r.index, r.matched))
-                    .collect();
-                let expected: Vec<(usize, bool)> = sequential
-                    .records
-                    .iter()
-                    .map(|r| (r.index, r.matched))
-                    .collect();
-                assert_eq!(got, expected, "chunk={chunk} threads={threads}");
-                // Same chunk boundaries → same session-level dedup totals.
-                assert_eq!(
-                    parallel.batch.keys_submitted, sequential.batch.keys_submitted,
-                    "chunk={chunk} threads={threads}"
-                );
-                assert_eq!(
-                    parallel.batch.keys_deduped, sequential.batch.keys_deduped,
-                    "chunk={chunk} threads={threads}"
-                );
-                assert!(!parallel.timed_out);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_span_scan_matches_sequential_spans() {
-        let re = semre::SemRegex::new(
-            r"(?<Medicine name>: [a-z]+)",
-            semre_oracle::SimLlmOracle::new(),
-        )
-        .unwrap();
-        let corpus = vec![
-            "take tramadol or ambien daily".to_owned(),
-            "nothing here".to_owned(),
-            "viagra viagra viagra".to_owned(),
-        ];
-        for first_only in [false, true] {
-            let (seq_report, seq_spans) =
-                scan_spans(&re, &corpus, 2, ScanOptions::unlimited(), first_only);
-            for threads in [1, 2, 8] {
-                let (par_report, par_spans) = scan_spans_parallel(
-                    &re,
-                    &corpus,
-                    2,
-                    threads,
-                    ScanOptions::unlimited(),
-                    first_only,
-                );
-                assert_eq!(par_spans, seq_spans, "threads={threads}");
-                assert_eq!(par_report.matched_lines(), seq_report.matched_lines());
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_scans_honour_limits() {
-        let m = matcher();
-        let corpus = lines();
-        let limited = scan_batched_parallel(
-            &m,
-            &corpus,
-            2,
-            4,
-            ScanOptions {
-                max_lines: Some(2),
-                ..ScanOptions::default()
-            },
-        );
-        assert_eq!(limited.lines(), 2);
-        assert!(!limited.timed_out);
-
-        let exhausted = scan_batched_parallel(
-            &m,
-            &corpus,
-            2,
-            4,
-            ScanOptions::with_time_budget(Duration::ZERO),
-        );
-        assert_eq!(exhausted.lines(), 0);
-        assert!(exhausted.timed_out);
-
-        let per_call = scan_per_call_parallel(&m, &corpus, 2, 4, ScanOptions::unlimited());
-        assert_eq!(per_call.matched_lines(), 2);
-        assert_eq!(
-            per_call.batch.keys_submitted, 0,
-            "per-call plane batches nothing"
-        );
-
-        let empty =
-            scan_batched_parallel(&m, &Vec::<String>::new(), 4, 4, ScanOptions::unlimited());
-        assert_eq!(empty.lines(), 0);
-    }
-
-    #[test]
     fn overlapped_scans_agree_with_synchronous_and_park_lines() {
         let pattern = "Subject: .*(?<Medicine name>: .+).*";
         let overlapped = semre::SemRegexBuilder::new()
@@ -1380,23 +957,21 @@ mod tests {
         corpus.extend(lines());
 
         for chunk in [1, 3, 64] {
-            let expected = scan_batched(&sync, &corpus, chunk, ScanOptions::unlimited());
+            let expected = scan_lines(&sync, &corpus, ScanOptions::batched(chunk));
             let want: Vec<(usize, bool)> = expected
                 .records
                 .iter()
                 .map(|r| (r.index, r.matched))
                 .collect();
-            let seq = scan_batched(&overlapped, &corpus, chunk, ScanOptions::unlimited());
+            let seq = scan_lines(&overlapped, &corpus, ScanOptions::batched(chunk));
             let got: Vec<(usize, bool)> =
                 seq.records.iter().map(|r| (r.index, r.matched)).collect();
             assert_eq!(got, want, "sequential overlapped, chunk={chunk}");
             for threads in [1, 4] {
-                let par = scan_batched_parallel(
+                let par = scan_lines(
                     &overlapped,
                     &corpus,
-                    chunk,
-                    threads,
-                    ScanOptions::unlimited(),
+                    ScanOptions::batched(chunk).with_threads(threads),
                 );
                 let got: Vec<(usize, bool)> =
                     par.records.iter().map(|r| (r.index, r.matched)).collect();
@@ -1425,8 +1000,170 @@ mod tests {
             parse("Subject: .*(?<Medicine name>: .+).*").unwrap(),
             oracle,
         );
-        let report = scan_batched(&dp, &lines(), 16, ScanOptions::unlimited());
+        let report = scan_lines(&dp, &lines(), ScanOptions::batched(16));
         assert_eq!(report.matched_lines(), 2);
         assert!(report.batch.keys_submitted > 0);
+    }
+
+    /// The scan modes of the driver table.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Mode {
+        PerCall,
+        Batched,
+        Spans,
+        SpansFirstOnly,
+    }
+
+    type Spans = Vec<Vec<(usize, usize)>>;
+
+    /// Runs one table row: the report plus each processed line's spans
+    /// (empty for membership modes).
+    fn run_mode(
+        re: &SemRegex,
+        corpus: &[String],
+        mode: Mode,
+        options: ScanOptions,
+    ) -> (ScanReport, Spans) {
+        match mode {
+            Mode::PerCall => (scan_lines(re, corpus, options), Vec::new()),
+            Mode::Batched => (
+                scan_lines(
+                    re,
+                    corpus,
+                    ScanOptions {
+                        batched: true,
+                        ..options
+                    },
+                ),
+                Vec::new(),
+            ),
+            Mode::Spans => scan_spans(re, corpus, options, false),
+            Mode::SpansFirstOnly => scan_spans(re, corpus, options, true),
+        }
+    }
+
+    /// Every mode × threads × chunk × limit of the one driver must give
+    /// the `(index, matched)` records, spans and limit flags of the
+    /// sequential per-call [`scan`] (spans: of `find_iter`, line by line),
+    /// on a synchronous and on an overlapped handle.
+    #[test]
+    fn driver_table_agrees_with_sequential_per_call_scan() {
+        let pattern = r"(?<Medicine name>: [a-z]+)";
+        let sync = SemRegex::new(pattern, SimLlmOracle::new()).unwrap();
+        let overlapped = semre::SemRegexBuilder::new()
+            .overlapped(4)
+            .build(pattern, SimLlmOracle::new())
+            .unwrap();
+        let mut corpus: Vec<String> = [
+            "viagra",
+            "take tramadol or ambien daily",
+            "nothing here",
+            "viagra viagra viagra",
+            "tramadol",
+            "weekly report",
+        ]
+        .iter()
+        .map(|line| (*line).to_owned())
+        .collect();
+        // Repeated lines give the chunk sessions something to dedupe.
+        corpus.extend(corpus.clone());
+        let limits = [
+            ("unlimited", ScanOptions::unlimited()),
+            (
+                "max_lines=2",
+                ScanOptions {
+                    max_lines: Some(2),
+                    ..ScanOptions::default()
+                },
+            ),
+            ("zero budget", ScanOptions::with_time_budget(Duration::ZERO)),
+        ];
+        let modes = [
+            Mode::PerCall,
+            Mode::Batched,
+            Mode::Spans,
+            Mode::SpansFirstOnly,
+        ];
+
+        for (handle, re) in [("sync", &sync), ("overlapped", &overlapped)] {
+            for (limit, base) in &limits {
+                let reference = scan(re, &corpus, OracleStats::default, base.clone());
+                let membership: Vec<(usize, bool)> = reference
+                    .records
+                    .iter()
+                    .map(|r| (r.index, r.matched))
+                    .collect();
+                for mode in modes {
+                    let want_spans: Spans = reference
+                        .records
+                        .iter()
+                        .map(|r| {
+                            let all = sync.find_iter(corpus[r.index].as_bytes());
+                            let all = all.map(|m| (m.start(), m.end()));
+                            if mode == Mode::SpansFirstOnly {
+                                all.take(1).collect()
+                            } else {
+                                all.collect()
+                            }
+                        })
+                        .collect();
+                    let want: Vec<(usize, bool)> = match mode {
+                        Mode::PerCall | Mode::Batched => membership.clone(),
+                        Mode::Spans | Mode::SpansFirstOnly => membership
+                            .iter()
+                            .zip(&want_spans)
+                            .map(|(&(index, _), spans)| (index, !spans.is_empty()))
+                            .collect(),
+                    };
+                    let mut submitted_by_chunk = Vec::new();
+                    for chunk in [1, 3, 64] {
+                        let mut sequential_batch = None;
+                        for threads in [1, 2, 8] {
+                            let case = format!(
+                                "{handle} {mode:?} {limit} chunk={chunk} threads={threads}"
+                            );
+                            let options = ScanOptions {
+                                chunk_lines: chunk,
+                                threads,
+                                ..base.clone()
+                            };
+                            let (report, spans) = run_mode(re, &corpus, mode, options);
+                            let got: Vec<(usize, bool)> = report
+                                .records
+                                .iter()
+                                .map(|r| (r.index, r.matched))
+                                .collect();
+                            assert_eq!(got, want, "{case}");
+                            assert_eq!(report.timed_out, reference.timed_out, "{case}");
+                            if matches!(mode, Mode::Spans | Mode::SpansFirstOnly) {
+                                let got_spans: Spans =
+                                    got.iter().map(|&(index, _)| spans[index].clone()).collect();
+                                assert_eq!(got_spans, want_spans, "{case}");
+                            }
+                            if mode == Mode::PerCall {
+                                assert_eq!(report.batch.keys_submitted, 0, "{case}");
+                            }
+                            // Same chunk boundaries → same session-level
+                            // dedup totals, for any thread count (the
+                            // overlapped pool's store outlives one scan,
+                            // so only the synchronous handle is exact).
+                            if mode == Mode::Batched && handle == "sync" {
+                                let batch =
+                                    (report.batch.keys_submitted, report.batch.keys_deduped);
+                                assert_eq!(*sequential_batch.get_or_insert(batch), batch, "{case}");
+                            }
+                        }
+                        if mode == Mode::Batched && handle == "sync" && *limit == "unlimited" {
+                            submitted_by_chunk
+                                .extend(sequential_batch.map(|(submitted, _)| submitted));
+                        }
+                    }
+                    // A session per line cannot dedupe across lines.
+                    if let [per_line, .., whole] = submitted_by_chunk[..] {
+                        assert!(per_line >= whole, "{handle}: {submitted_by_chunk:?}");
+                    }
+                }
+            }
+        }
     }
 }

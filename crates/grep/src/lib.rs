@@ -7,12 +7,19 @@
 //! top of the `semre` facade (a [`semre::SemRegex`] handle is the normal
 //! way to drive a scan):
 //!
-//! * [`LineMatcher`] / [`scan`] / [`scan_parallel`] / [`scan_batched`] —
-//!   the line-oriented scanning engine, accepting a facade handle or
-//!   either internal matcher;
+//! * [`LineMatcher`] / [`scan_lines`] / [`scan_spans`] / [`scan`] — the
+//!   line-oriented scanning engine, accepting a facade handle or either
+//!   internal matcher.  One chunk driver runs every scan: lines are cut
+//!   into [`ScanOptions::chunk_lines`]-sized chunks with one batch session
+//!   each, claimed by [`ScanOptions::threads`] workers (inline for one),
+//!   on the oracle plane [`ScanOptions::batched`] names; lines whose
+//!   answers are in flight on an overlapped handle park and resume from
+//!   their evaluator checkpoints.  [`scan`] is the sequential per-call
+//!   flavour with per-line oracle attribution (Table 2);
 //! * [`stream`] — the streaming pipeline ([`scan_stream`],
 //!   [`scan_stream_spans`]): chunked reads with lines reassembled across
-//!   chunk boundaries, bounded memory, byte-identical output;
+//!   chunk boundaries, each batch of lines handed to the same driver,
+//!   bounded memory, byte-identical output;
 //! * [`walk`](mod@walk) — recursive directory traversal: deterministic
 //!   ordering, ignore globs, hidden/binary skipping, symlink policy, max
 //!   depth;
@@ -62,10 +69,7 @@ mod testutil;
 pub mod tree;
 pub mod walk;
 
-pub use engine::{
-    scan, scan_batched, scan_batched_parallel, scan_parallel, scan_per_call_parallel, scan_spans,
-    scan_spans_parallel, FaultPolicy, LineMatcher, ParallelScanReport, ScanOptions,
-};
+pub use engine::{scan, scan_lines, scan_spans, FaultPolicy, LineMatcher, ScanOptions};
 pub use stats::{LineRecord, ScanReport};
 pub use stream::{scan_stream, scan_stream_spans, RangeReader, StreamOptions, StreamReport};
 pub use tree::{scan_tree, FileSummary, ScanUnit, TreeOptions, TreeReport};

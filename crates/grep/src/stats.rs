@@ -44,7 +44,7 @@ pub struct ScanReport {
     /// Total wall-clock time of the scan.
     pub total_duration: Duration,
     /// Batched query-plane usage, accumulated over every chunk session of a
-    /// [`scan_batched`](crate::scan_batched) run (all zero for per-call
+    /// batched [`scan_lines`](crate::scan_lines) run (all zero for per-call
     /// scans).
     pub batch: BatchStats,
     /// Absolute indices of lines whose verdicts were degraded by oracle

@@ -1,12 +1,12 @@
 //! The streaming scan engine: chunked I/O in front of the line scanners.
 //!
-//! The in-memory entry points ([`scan`],
-//! [`scan_batched`], …) take a slice of lines that
-//! already lives in memory; on a multi-gigabyte corpus the split alone
-//! costs more memory than the matcher ever will.  [`scan_stream`] instead
+//! The in-memory entry points ([`scan_lines`], [`scan_spans`]) take a
+//! slice of lines that already lives in memory; on a multi-gigabyte
+//! corpus the split alone costs more memory than the matcher ever will.
+//! [`scan_stream`] instead
 //! pulls the input through [`semre::stream::LineChunks`] — fixed-size
 //! reads, lines reassembled across chunk boundaries — and feeds each batch
-//! of complete lines to the existing scanners, so every optimization of
+//! of complete lines to the same chunk driver, so every optimization of
 //! the in-memory path (batched oracle sessions, parallel chunk scanning,
 //! the literal prescan and lazy-DFA prefilter inside the matcher) applies
 //! unchanged while peak memory stays bounded by the chunk size plus the
@@ -43,12 +43,10 @@ use std::io::{self, Read, Seek, SeekFrom};
 use std::time::{Duration, Instant};
 
 use semre::stream::LineChunks;
-use semre::{BatchStats, SemRegex, DEFAULT_CHUNK_LINES, DEFAULT_STREAM_CHUNK_BYTES};
-use semre_oracle::{OracleError, OracleStats, ScanInterrupt};
+use semre::{BatchStats, SemRegex, DEFAULT_STREAM_CHUNK_BYTES};
+use semre_oracle::{OracleError, ScanInterrupt};
 
-use crate::engine::{
-    scan, scan_batched, scan_batched_parallel, scan_per_call_parallel, LineMatcher, ScanOptions,
-};
+use crate::engine::{scan_lines, scan_spans, LineMatcher, ScanOptions};
 use crate::stats::ScanReport;
 
 /// Options controlling a streaming scan.
@@ -56,14 +54,6 @@ use crate::stats::ScanReport;
 pub struct StreamOptions {
     /// Bytes per I/O chunk (peak memory is O(chunk + longest line)).
     pub chunk_bytes: usize,
-    /// Lines per batch-session chunk, as in [`scan_batched`].
-    pub chunk_lines: usize,
-    /// Worker threads per batch (1 = sequential), as in
-    /// [`scan_batched_parallel`].
-    pub threads: usize,
-    /// Share one batch session per `chunk_lines` lines (cross-line oracle
-    /// deduplication); otherwise every line pays its own oracle calls.
-    pub batched: bool,
     /// Double-buffer the reads: a dedicated thread pulls the *next* I/O
     /// chunk off the reader while the current batch is being matched, so
     /// file I/O overlaps evaluation.  Verdicts, order, and reported bytes
@@ -71,7 +61,9 @@ pub struct StreamOptions {
     /// for interactive readers (stdin): a cancelled scan would otherwise
     /// wait on a read that may never complete.
     pub read_ahead: bool,
-    /// Line and wall-clock limits, as in the in-memory scans.
+    /// How each batch of lines is scanned — chunk sessions, threads,
+    /// plane, fault policy — and the line and wall-clock limits, which
+    /// apply across the whole stream.
     pub scan: ScanOptions,
 }
 
@@ -79,9 +71,6 @@ impl Default for StreamOptions {
     fn default() -> Self {
         StreamOptions {
             chunk_bytes: DEFAULT_STREAM_CHUNK_BYTES,
-            chunk_lines: DEFAULT_CHUNK_LINES,
-            threads: 1,
-            batched: false,
             read_ahead: false,
             scan: ScanOptions::unlimited(),
         }
@@ -94,11 +83,13 @@ impl StreamOptions {
     pub fn for_regex(re: &SemRegex) -> StreamOptions {
         StreamOptions {
             chunk_bytes: re.stream_chunk_bytes(),
-            chunk_lines: re.chunk_lines(),
-            threads: re.threads(),
-            batched: re.config().batched_oracle,
             read_ahead: false,
-            scan: ScanOptions::unlimited(),
+            scan: ScanOptions {
+                chunk_lines: re.chunk_lines(),
+                threads: re.threads(),
+                batched: re.config().batched_oracle,
+                ..ScanOptions::default()
+            },
         }
     }
 }
@@ -208,8 +199,7 @@ fn drive_stream<R: Read + Send>(
         let scan_options = ScanOptions {
             max_lines: None,
             time_budget: budget,
-            control: options.scan.control.clone(),
-            fault_policy: options.scan.fault_policy,
+            ..options.scan.clone()
         };
         let lines_done = report.lines;
         let (batch_report, matched, keep_going) = scan_batch(&batch, lines_done, scan_options);
@@ -291,29 +281,7 @@ where
     F: FnMut(u64, &[u8], bool) -> bool,
 {
     drive_stream(reader, options, |batch, lines_done, scan_options| {
-        let report = if options.threads > 1 {
-            if options.batched {
-                scan_batched_parallel(
-                    matcher,
-                    batch,
-                    options.chunk_lines,
-                    options.threads,
-                    scan_options,
-                )
-            } else {
-                scan_per_call_parallel(
-                    matcher,
-                    batch,
-                    options.chunk_lines,
-                    options.threads,
-                    scan_options,
-                )
-            }
-        } else if options.batched {
-            scan_batched(matcher, batch, options.chunk_lines, scan_options)
-        } else {
-            scan(matcher, batch, OracleStats::default, scan_options)
-        };
+        let report = scan_lines(matcher, batch, scan_options);
         let mut matched = 0;
         let mut keep_going = true;
         for record in &report.records {
@@ -354,24 +322,7 @@ where
     F: FnMut(u64, &[u8], &[(usize, usize)]) -> bool,
 {
     drive_stream(reader, options, |batch, lines_done, scan_options| {
-        let (report, spans) = if options.threads > 1 {
-            crate::engine::scan_spans_parallel(
-                re,
-                batch,
-                options.chunk_lines,
-                options.threads,
-                scan_options,
-                first_span_only,
-            )
-        } else {
-            crate::engine::scan_spans(
-                re,
-                batch,
-                options.chunk_lines,
-                scan_options,
-                first_span_only,
-            )
-        };
+        let (report, spans) = scan_spans(re, batch, scan_options, first_span_only);
         let mut matched = 0;
         let mut keep_going = true;
         for record in &report.records {
@@ -510,7 +461,6 @@ impl<R: Read> Read for RangeReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::scan_spans;
     use semre::SimLlmOracle;
     use std::io::Cursor;
 
@@ -547,11 +497,13 @@ mod tests {
                     for read_ahead in [false, true] {
                         let options = StreamOptions {
                             chunk_bytes,
-                            chunk_lines: 8,
-                            threads,
-                            batched,
                             read_ahead,
-                            scan: ScanOptions::unlimited(),
+                            scan: ScanOptions {
+                                chunk_lines: 8,
+                                threads,
+                                batched,
+                                ..ScanOptions::default()
+                            },
                         };
                         let mut got = Vec::new();
                         let report = scan_stream(&re, text.as_bytes(), &options, |i, line, m| {
@@ -585,16 +537,13 @@ mod tests {
         let re = SemRegex::new(r"(?<Medicine name>: [a-z]+)", SimLlmOracle::new()).unwrap();
         let text = "take tramadol or ambien daily\nnothing here\nviagra viagra viagra\n";
         let lines: Vec<&str> = text.lines().collect();
-        let (_, expected) = scan_spans(&re, &lines, 2, ScanOptions::unlimited(), false);
+        let (_, expected) = scan_spans(&re, &lines, ScanOptions::batched(2), false);
         for chunk_bytes in [3, 17, 4096] {
             for threads in [1, 4] {
                 let options = StreamOptions {
                     chunk_bytes,
-                    chunk_lines: 2,
-                    threads,
-                    batched: true,
                     read_ahead: chunk_bytes % 2 == 1,
-                    scan: ScanOptions::unlimited(),
+                    scan: ScanOptions::batched(2).with_threads(threads),
                 };
                 let mut got: Vec<Vec<(usize, usize)>> = Vec::new();
                 scan_stream_spans(&re, text.as_bytes(), &options, false, |_, _, spans| {
@@ -781,9 +730,9 @@ mod tests {
             .build("a+", semre::PalindromeOracle)
             .unwrap();
         let options = StreamOptions::for_regex(&re);
-        assert_eq!(options.threads, 3);
-        assert_eq!(options.chunk_lines, 17);
+        assert_eq!(options.scan.threads, 3);
+        assert_eq!(options.scan.chunk_lines, 17);
         assert_eq!(options.chunk_bytes, 123);
-        assert!(options.batched);
+        assert!(options.scan.batched);
     }
 }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use semre::{Oracle, RetryOracle, RetryPolicy, SemRegex, SemRegexBuilder, SimLlmOracle};
 use semre_grep::cli::{run_on_text, run_stream, CliOptions};
-use semre_grep::{scan_batched, scan_batched_parallel, FaultPolicy, ScanOptions, ScanReport};
+use semre_grep::{scan_lines, FaultPolicy, ScanOptions, ScanReport};
 use semre_oracle::OracleStats;
 use semre_workloads::{FlakyOracle, FlakySchedule, PanickingOracle};
 
@@ -233,12 +233,7 @@ fn flaky_regex(rate: f64, seed: u64, attempts: u32) -> SemRegex {
 }
 
 fn scan_with(re: &SemRegex, lines: &[String], policy: FaultPolicy) -> ScanReport {
-    scan_batched(
-        re,
-        lines,
-        4,
-        ScanOptions::unlimited().with_fault_policy(policy),
-    )
+    scan_lines(re, lines, ScanOptions::batched(4).with_fault_policy(policy))
 }
 
 #[test]
@@ -355,7 +350,7 @@ fn enough_retry_attempts_make_engine_verdicts_fault_free() {
         .chunk_lines(4)
         .build(MEMBERSHIP, SimLlmOracle::new())
         .expect("pattern compiles");
-    let expected: Vec<(usize, bool)> = scan_batched(&healthy, &lines, 4, ScanOptions::unlimited())
+    let expected: Vec<(usize, bool)> = scan_lines(&healthy, &lines, ScanOptions::batched(4))
         .records
         .iter()
         .map(|r| (r.index, r.matched))
@@ -405,7 +400,7 @@ fn resolver_worker_panic_is_a_scan_fault_not_a_hang() {
 
     // The panic fires on a pool worker thread; the scan must come back
     // with a fault (fail policy), not wedge waiting for answers.
-    let report = scan_batched(&re, &lines, 4, ScanOptions::unlimited());
+    let report = scan_lines(&re, &lines, ScanOptions::batched(4));
     let fault = report.fault.expect("worker panic surfaces as a scan fault");
     assert!(
         fault.to_string().contains("panic"),
@@ -429,7 +424,7 @@ fn parallel_scan_worker_panic_is_a_scan_fault_not_a_hang() {
         .build_shared(MEMBERSHIP, panicking as Arc<dyn Oracle>)
         .expect("pattern compiles");
 
-    let report = scan_batched_parallel(&re, &lines, 4, 4, ScanOptions::unlimited());
+    let report = scan_lines(&re, &lines, ScanOptions::batched(4).with_threads(4));
     let fault = report
         .fault
         .expect("scan worker panic surfaces as a scan fault");

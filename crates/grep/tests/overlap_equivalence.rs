@@ -27,7 +27,7 @@ use std::time::Duration;
 use semre::workloads::rng::StdRng;
 use semre::{Oracle, QueryKey, SemRegex, SemRegexBuilder};
 use semre_grep::cli::{run_stream, CliOptions};
-use semre_grep::{scan_batched, scan_batched_parallel, scan_spans, ScanOptions};
+use semre_grep::{scan_lines, scan_spans, ScanOptions};
 use semre_workloads::{DelayOracle, Workbench};
 
 /// The set of `(query, text)` questions a run's backend saw.
@@ -117,11 +117,7 @@ fn compiled(
 
 /// The in-order verdict vector of a batched scan.
 fn verdicts(re: &SemRegex, lines: &[&str], threads: usize, chunk: usize) -> Vec<bool> {
-    let report = if threads > 1 {
-        scan_batched_parallel(re, lines, chunk, threads, ScanOptions::unlimited())
-    } else {
-        scan_batched(re, lines, chunk, ScanOptions::unlimited())
-    };
+    let report = scan_lines(re, lines, ScanOptions::batched(chunk).with_threads(threads));
     assert_eq!(report.records.len(), lines.len());
     let mut by_index: Vec<(usize, bool)> = report
         .records
@@ -182,10 +178,10 @@ fn overlapped_span_search_matches_synchronous_spans() {
         let lines: Vec<&str> = corpus.lines().iter().map(String::as_str).collect();
 
         let (sync_re, _) = compiled(&spec.semre, &spec.oracle, Backend::Instant, 0, 4);
-        let (_, expected) = scan_spans(&sync_re, &lines, 4, ScanOptions::unlimited(), false);
+        let (_, expected) = scan_spans(&sync_re, &lines, ScanOptions::batched(4), false);
 
         let (re, _) = compiled(&spec.semre, &spec.oracle, Backend::Instant, 2, 4);
-        let (_, got) = scan_spans(&re, &lines, 4, ScanOptions::unlimited(), false);
+        let (_, got) = scan_spans(&re, &lines, ScanOptions::batched(4), false);
         assert_eq!(got, expected, "{}", spec.name);
     }
 }

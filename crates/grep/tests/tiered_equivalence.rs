@@ -25,7 +25,7 @@ use std::sync::{Arc, Mutex};
 use semre::workloads::rng::StdRng;
 use semre::{BuiltinTier, Oracle, QueryKey, SemRegex, SemRegexBuilder, TieredResolver};
 use semre_grep::cli::{run_stream, CliOptions};
-use semre_grep::{scan_batched, scan_batched_parallel, scan_spans, ScanOptions};
+use semre_grep::{scan_lines, scan_spans, ScanOptions};
 use semre_workloads::Workbench;
 
 /// The set of `(query, text)` keys a run's authoritative backend saw.
@@ -109,11 +109,7 @@ fn compiled(
 
 /// The in-order verdict vector of a batched scan.
 fn verdicts(re: &SemRegex, lines: &[&str], threads: usize, chunk: usize) -> Vec<bool> {
-    let report = if threads > 1 {
-        scan_batched_parallel(re, lines, chunk, threads, ScanOptions::unlimited())
-    } else {
-        scan_batched(re, lines, chunk, ScanOptions::unlimited())
-    };
+    let report = scan_lines(re, lines, ScanOptions::batched(chunk).with_threads(threads));
     assert_eq!(report.records.len(), lines.len());
     let mut by_index: Vec<(usize, bool)> = report
         .records
@@ -199,11 +195,11 @@ fn span_search_is_identical_through_every_stack() {
         let lines: Vec<&str> = corpus.lines().iter().map(String::as_str).collect();
 
         let (flat_re, _) = compiled(&spec.semre, &spec.oracle, None, 0, 4);
-        let (_, expected) = scan_spans(&flat_re, &lines, 4, ScanOptions::unlimited(), false);
+        let (_, expected) = scan_spans(&flat_re, &lines, ScanOptions::batched(4), false);
 
         for stack in STACKS {
             let (re, _) = compiled(&spec.semre, &spec.oracle, stack, 0, 4);
-            let (_, got) = scan_spans(&re, &lines, 4, ScanOptions::unlimited(), false);
+            let (_, got) = scan_spans(&re, &lines, ScanOptions::batched(4), false);
             assert_eq!(got, expected, "{} stack={stack:?}", spec.name);
         }
     }

@@ -15,10 +15,14 @@ use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use semre::{Instrumented, Oracle, SemRegexBuilder, SharedSession, SimLlmOracle};
+use semre::{
+    Instrumented, Oracle, SemRegexBuilder, SharedSession, SimLlmOracle, DEFAULT_CHUNK_LINES,
+};
 use semre_grep::cli::{expand_targets, run_paths, CliOptions};
 use semre_grep::stream::{scan_stream, StreamOptions};
-use semre_grep::{scan_tree, FileSummary, RangeReader, ScanUnit, TreeOptions, TreeReport};
+use semre_grep::{
+    scan_tree, FileSummary, RangeReader, ScanOptions, ScanUnit, TreeOptions, TreeReport,
+};
 use semre_workloads::{CorpusTree, CorpusTreeConfig};
 
 const PATTERN: &str = r"Subject: .*(?<Medicine name>: [a-z]+).*";
@@ -218,7 +222,7 @@ fn tree_scan_with(
     split_bytes: Option<u64>,
 ) -> (Vec<u8>, TreeReport) {
     let stream_options = StreamOptions {
-        batched: true,
+        scan: ScanOptions::batched(DEFAULT_CHUNK_LINES),
         ..StreamOptions::default()
     };
     let mut out = Vec::new();
@@ -363,7 +367,7 @@ fn shared_session_never_exceeds_the_per_file_query_sum() {
             .unwrap();
         let after_compile = backend.stats().calls;
         let stream_options = StreamOptions {
-            batched: true,
+            scan: ScanOptions::batched(DEFAULT_CHUNK_LINES),
             ..StreamOptions::default()
         };
         for file in &tree.files {

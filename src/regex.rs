@@ -280,7 +280,7 @@ impl SemRegex {
     /// A fresh [`BatchSession`] wired to the resolver pool: straggler
     /// flushes are submitted to the pool instead of blocking, and a test
     /// whose answers are still in flight suspends (see
-    /// [`try_is_match_in_session`](SemRegex::try_is_match_in_session)).
+    /// [`try_is_match_suspending`](SemRegex::try_is_match_suspending)).
     /// `None` when the handle is not overlapped (or uses the DP baseline,
     /// which always resolves synchronously).
     pub fn overlapped_session(&self) -> Option<BatchSession<'_>> {
@@ -292,34 +292,11 @@ impl SemRegex {
     }
 
     /// Like [`is_match_in_session`](SemRegex::is_match_in_session), but
-    /// suspension-aware: `None` means the verdict depends on oracle
-    /// answers still in flight on the resolver pool — park the input,
-    /// [`wait_for_progress`](ResolverPool::wait_for_progress), and replay
-    /// (replays are cheap: resolved answers come from the answer store).
-    /// Always `Some` on a synchronous session.
-    pub fn try_is_match_in_session(
-        &self,
-        haystack: &[u8],
-        session: &mut BatchSession<'_>,
-    ) -> Option<bool> {
-        match &self.engine {
-            Engine::Snfa(m) => {
-                let report = m.run_in_session(haystack, session);
-                if report.suspended {
-                    None
-                } else {
-                    Some(report.matched)
-                }
-            }
-            Engine::Dp(m) => Some(m.run_in_session(haystack, session).matched),
-        }
-    }
-
-    /// Like [`try_is_match_in_session`](SemRegex::try_is_match_in_session),
-    /// but a suspension returns the parked evaluation state
-    /// ([`SuspendedMatch`]) so the caller resumes from the suspended
-    /// position with [`resume_is_match`](SemRegex::resume_is_match) instead
-    /// of replaying the whole line.  This is what the scan drivers use:
+    /// suspension-aware: when the verdict depends on oracle answers still
+    /// in flight on the resolver pool, `Err` returns the parked evaluation
+    /// state ([`SuspendedMatch`]) so the caller resumes from the suspended
+    /// position with [`resume_is_match`](SemRegex::resume_is_match) once
+    /// the pool has made progress.  This is what the scan driver uses:
     /// parked lines cost `O(|w|)` evaluator work across all resumptions.
     /// Synchronous sessions and the DP baseline never suspend.
     pub fn try_is_match_suspending(

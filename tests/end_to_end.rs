@@ -8,7 +8,7 @@ use semre::{
     CachingOracle, Instrumented, LatencyModel, MatcherConfig, Oracle, SemRegex, SemRegexBuilder,
     SimLlmOracle,
 };
-use semre_grep::{scan, scan_parallel, ScanOptions};
+use semre_grep::{scan, scan_lines, ScanOptions};
 use semre_workloads::{Dataset, Workbench};
 
 #[test]
@@ -111,7 +111,7 @@ fn grep_engine_matches_cli_outcome() {
     );
     assert_eq!(report.matched_lines(), 1);
 
-    let parallel = scan_parallel(&re, &lines, 3);
+    let parallel = scan_lines(&re, &lines, ScanOptions::unlimited().with_threads(3));
     assert_eq!(parallel.matched_lines(), 1);
 
     let options = semre_grep::cli::CliOptions::parse(["--count", pattern]).expect("valid options");

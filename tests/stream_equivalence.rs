@@ -20,7 +20,7 @@ use semre::workloads::Workbench;
 use semre::{SemRegex, SemRegexBuilder};
 use semre_grep::cli::{run_on_text, run_stream, CliOptions};
 use semre_grep::stream::{scan_stream, StreamOptions};
-use semre_grep::{scan_batched, ScanOptions};
+use semre_grep::{scan_lines, ScanOptions};
 
 /// A corpus engineered around the chunk boundary: for chunk size `c`,
 /// lines of length exactly `c - 1` (so line + `\n` fills a chunk), `c`,
@@ -82,13 +82,10 @@ fn chunk_boundary_lines_are_never_lost_or_altered() {
             for threads in [1, 4] {
                 let options = StreamOptions {
                     chunk_bytes: chunk,
-                    chunk_lines: 4,
-                    threads,
-                    batched: true,
                     // Exercise both the double-buffered and the plain
                     // reader across the chunk-size sweep.
                     read_ahead: chunk % 2 == 0,
-                    scan: ScanOptions::unlimited(),
+                    scan: ScanOptions::batched(4).with_threads(threads),
                 };
                 let mut got = Vec::new();
                 let report = scan_stream(&re, text.as_bytes(), &options, |i, line, m| {
@@ -124,7 +121,7 @@ fn streaming_is_byte_identical_on_all_nine_benchmarks() {
             .join("");
 
         // The in-memory reference: what grepo's --no-stream path prints.
-        let reference = scan_batched(&re, &lines, 64, ScanOptions::unlimited());
+        let reference = scan_lines(&re, &lines, ScanOptions::batched(64));
         let mut expected = Vec::new();
         for record in reference.records.iter().filter(|r| r.matched) {
             expected.extend_from_slice(lines[record.index].as_bytes());
@@ -135,11 +132,8 @@ fn streaming_is_byte_identical_on_all_nine_benchmarks() {
             for threads in [1, 4] {
                 let options = StreamOptions {
                     chunk_bytes,
-                    chunk_lines: 64,
-                    threads,
-                    batched: true,
                     read_ahead: true,
-                    scan: ScanOptions::unlimited(),
+                    scan: ScanOptions::batched(64).with_threads(threads),
                 };
                 let mut got = Vec::new();
                 scan_stream(&re, text.as_bytes(), &options, |_, line, matched| {
@@ -301,11 +295,8 @@ fn streaming_a_synthetic_corpus_stays_incremental() {
     .unwrap();
     let options = StreamOptions {
         chunk_bytes: 64 * 1024,
-        chunk_lines: 256,
-        threads: 4,
-        batched: true,
         read_ahead: true,
-        scan: ScanOptions::unlimited(),
+        scan: ScanOptions::batched(256).with_threads(4),
     };
     let reader = SyntheticCorpus {
         line: 0,
