@@ -227,9 +227,11 @@ fn concurrent_tenants_keep_counters_coherent_and_lose_no_appends() {
     assert_eq!(pattern_handle, 1, "warmup compiled the only pattern");
 
     // Coherence: every appended record traces back to a backend answer.
-    // Two scan workers racing on the same fresh key may both reach the
-    // backend (SharedSession resolves misses outside the stripe locks),
-    // so `backend_keys` can overcount appends slightly — but it can
+    // Within one tenant the SharedSession is single-flight, so a key
+    // reaches the backend once however many workers ask it.  Tenants
+    // have separate sessions over the one log, though: two tenants
+    // racing on the same fresh key may both reach the backend, so the
+    // summed `backend_keys` can overcount appends slightly — but it can
     // never undercount: an append without a backend answer would mean
     // the store invented data.
     let stats = warmup.stats().unwrap();

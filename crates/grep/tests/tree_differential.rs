@@ -416,3 +416,42 @@ fn shared_session_never_exceeds_the_per_file_query_sum() {
         "per-file merged batch counters must stay consistent"
     );
 }
+
+/// Scan threads that reach the same fresh question at the same time ask
+/// the backend once between them: over files that repeat the same
+/// medicine lines, the shared session's `backend_keys` equals the number
+/// of records appended to the answer log.
+#[test]
+fn racing_scan_threads_ask_the_backend_once_per_logged_answer() {
+    let scratch = Scratch::new("single-flight");
+    let tree = scratch.0.join("tree");
+    std::fs::create_dir_all(&tree).unwrap();
+    let lines = "Subject: cheap tramadol now\nSubject: buy xanax\nSubject: hello friend\n";
+    for file in 0..4 {
+        std::fs::write(tree.join(format!("f{file}.txt")), lines).unwrap();
+    }
+    let mut args: Vec<String> = "--batched --threads 2 --oracle-delay 1000 --stats --count"
+        .split(' ')
+        .map(String::from)
+        .collect();
+    let log = scratch.0.join("answers.log").display().to_string();
+    args.extend(["--answer-log".into(), log, PATTERN.into()]);
+    args.push(tree.display().to_string());
+    let options = CliOptions::parse(args).unwrap();
+    let outcome = run_paths(&options, &expand_targets(&options), &mut Vec::new()).unwrap();
+    let field = |prefix: &str, name: &str| -> u64 {
+        let line = outcome.stderr.iter().find(|l| l.starts_with(prefix));
+        let line = line.unwrap_or_else(|| panic!("no {prefix} line: {:?}", outcome.stderr));
+        line.split_whitespace()
+            .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in {line}"))
+    };
+    let appended = field("answer_store:", "appended");
+    assert!(appended > 0);
+    assert_eq!(
+        field("shared_session:", "backend_keys"),
+        appended,
+        "{:?}",
+        outcome.stderr
+    );
+}

@@ -12,7 +12,7 @@
 //! * [`BatchOracle`] — the batched entry point (`resolve(&[QueryKey]) ->
 //!   Vec<bool>`), with a blanket adapter so every existing [`Oracle`] keeps
 //!   working (the adapter routes through [`Oracle::resolve_batch`], which
-//!   wrappers such as `Instrumented` and `CachingOracle` override with
+//!   wrappers such as `Instrumented` and [`SharedSession`] override with
 //!   batch-aware behaviour);
 //! * [`QueryLedger`] — a position-keyed, deduplicating accumulator used by
 //!   the evaluator: keys are enlisted as the frontier advances, duplicates
@@ -20,10 +20,16 @@
 //!   outstanding slots in one round trip;
 //! * [`BatchSession`] — a content-keyed answer store shared across many
 //!   membership tests (e.g. all lines of a grep chunk), so identical
-//!   `(query, text)` questions from different lines reach the backend once.
+//!   `(query, text)` questions from different lines reach the backend once;
+//! * [`SharedSession`] — the thread-safe, single-flight memo over a
+//!   backend (and optionally an answer log), shared by every thread and
+//!   file of a run.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use crate::overlap::ResolverPool;
 use crate::stats::BatchStats;
@@ -49,8 +55,8 @@ impl<'a> QueryKey<'a> {
 /// A backend that answers many oracle questions in one round trip.
 ///
 /// Every [`Oracle`] is a `BatchOracle` through a blanket adapter that calls
-/// [`Oracle::resolve_batch`] (point-wise by default, overridden by the
-/// instrumentation and caching wrappers), so the batched plane can be
+/// [`Oracle::resolve_batch`] (point-wise by default, overridden by
+/// `Instrumented` and [`SharedSession`]), so the batched plane can be
 /// threaded through existing code without touching any backend.
 pub trait BatchOracle: Send + Sync {
     /// Answers `batch[i]` in `result[i]`, for every `i`.
@@ -200,28 +206,48 @@ impl<K: Eq + Hash + Clone> Default for QueryLedger<K> {
     }
 }
 
-/// A `query → text → answer` store with allocation-free lookups.
+/// A `query → text → value` store with allocation-free lookups: answers
+/// (`bool`) in a [`BatchSession`], [`Entry`]s in each stripe of a
+/// [`ShardedAnswerStore`].
 ///
 /// The nested shape lets hits probe with borrowed `&str` / `&[u8]` keys;
 /// owned keys are built only when a miss is inserted.
-#[derive(Debug, Default)]
-pub(crate) struct AnswerStore {
-    map: HashMap<String, HashMap<Vec<u8>, bool>>,
+#[derive(Debug)]
+pub(crate) struct AnswerStore<V = bool> {
+    map: HashMap<String, HashMap<Vec<u8>, V>>,
 }
 
-impl AnswerStore {
-    pub(crate) fn get(&self, key: &QueryKey<'_>) -> Option<bool> {
+impl<V> Default for AnswerStore<V> {
+    fn default() -> Self {
+        AnswerStore {
+            map: HashMap::new(),
+        }
+    }
+}
+
+impl<V: Copy> AnswerStore<V> {
+    pub(crate) fn get(&self, key: &QueryKey<'_>) -> Option<V> {
         self.map
             .get(key.query)
             .and_then(|texts| texts.get(key.text))
             .copied()
     }
 
-    pub(crate) fn insert(&mut self, key: &QueryKey<'_>, answer: bool) {
+    pub(crate) fn insert(&mut self, key: &QueryKey<'_>, value: V) {
         self.map
             .entry(key.query.to_owned())
             .or_default()
-            .insert(key.text.to_vec(), answer);
+            .insert(key.text.to_vec(), value);
+    }
+
+    fn remove(&mut self, key: &QueryKey<'_>) {
+        if let Some(texts) = self.map.get_mut(key.query) {
+            texts.remove(key.text);
+        }
+    }
+
+    fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.map.values_mut().flat_map(HashMap::values_mut)
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -236,76 +262,183 @@ impl AnswerStore {
 /// Number of lock stripes in a [`ShardedAnswerStore`].
 pub(crate) const ANSWER_STORE_SHARDS: usize = 16;
 
-/// A lock-striped [`AnswerStore`]: 16 independent stripes, each behind its
-/// own mutex, with the stripe chosen by hashing the `(query, text)` key.
+/// The state of one key in a [`ShardedAnswerStore`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Entry {
+    /// The key's answer, published by whoever claimed it.
+    Answered(bool),
+    /// Claimed: exactly one caller is asking the backend for it.
+    InFlight,
+    /// The claimer's backend round trip failed.  Sticky: only the
+    /// resolver pool fails keys, and it never asks for them again.
+    Failed,
+}
+
+/// One stripe: its share of the entries plus the waiters parked on them.
+#[derive(Debug, Default)]
+struct StripeState {
+    entries: AnswerStore<Entry>,
+    /// Callers blocked in [`ShardedAnswerStore::wait`] on this stripe, so
+    /// settling a key only signals the condvar when someone listens.
+    waiters: usize,
+}
+
+#[derive(Debug, Default)]
+struct Stripe {
+    state: Mutex<StripeState>,
+    settled: Condvar,
+}
+
+/// The crate's one concurrent answer memo and its only single-flight
+/// code, behind [`SharedSession`], [`ResolverPool`] and the tiered
+/// resolver's `cache` tier.  A caller that [`claim`](Self::claim)s a
+/// fresh key is its one asker, and then publishes, releases (a waiter
+/// claims the key again) or fails it; callers that want the key meanwhile
+/// [`wait`](Self::wait) on its stripe's condvar.
 ///
-/// Concurrent readers and writers of *different* keys almost always land on
-/// different stripes, so the read-mostly fast path (a store probe) never
-/// serializes a whole multi-threaded scan behind one lock the way a single
-/// `Mutex<AnswerStore>` does.  Contention that does happen is counted (a
-/// failed `try_lock` before the blocking lock) and surfaced through
-/// [`contended`](ShardedAnswerStore::contended) for `--stats`.
+/// The 16 lock stripes are chosen by hashing the `(query, text)` key, so
+/// callers of different keys rarely serialize.  Contention that does
+/// happen (a failed `try_lock` before the blocking lock) is counted for
+/// `--stats`.
 #[derive(Debug)]
 pub(crate) struct ShardedAnswerStore {
-    stripes: Vec<std::sync::Mutex<AnswerStore>>,
-    contended: std::sync::atomic::AtomicU64,
+    stripes: Vec<Stripe>,
+    contended: AtomicU64,
 }
 
 impl Default for ShardedAnswerStore {
     fn default() -> Self {
         ShardedAnswerStore {
             stripes: (0..ANSWER_STORE_SHARDS)
-                .map(|_| std::sync::Mutex::new(AnswerStore::default()))
+                .map(|_| Stripe::default())
                 .collect(),
-            contended: std::sync::atomic::AtomicU64::new(0),
+            contended: AtomicU64::new(0),
         }
     }
 }
 
 impl ShardedAnswerStore {
-    fn stripe(&self, key: &QueryKey<'_>) -> std::sync::MutexGuard<'_, AnswerStore> {
+    fn stripe(&self, key: &QueryKey<'_>) -> (&Stripe, MutexGuard<'_, StripeState>) {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.query.hash(&mut hasher);
         key.text.hash(&mut hasher);
         let stripe = &self.stripes[(hasher.finish() as usize) % ANSWER_STORE_SHARDS];
-        match stripe.try_lock() {
+        let guard = match stripe.state.try_lock() {
             Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contended
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                stripe.lock().expect("answer store stripe poisoned")
+            Err(TryLockError::WouldBlock) => {
+                self.contended.fetch_add(1, Relaxed);
+                lock_stripe(stripe)
             }
-            Err(std::sync::TryLockError::Poisoned(_)) => {
-                panic!("answer store stripe poisoned")
-            }
+            // Entries are only ever set whole, so a stripe whose holder
+            // panicked is still consistent.
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        };
+        (stripe, guard)
+    }
+
+    /// Sets (or, with `None`, removes) `key`'s entry and wakes its
+    /// waiters.
+    fn settle(&self, key: &QueryKey<'_>, entry: Option<Entry>) {
+        let (stripe, mut state) = self.stripe(key);
+        match entry {
+            Some(entry) => state.entries.insert(key, entry),
+            None => state.entries.remove(key),
+        }
+        if state.waiters > 0 {
+            stripe.settled.notify_all();
         }
     }
 
-    pub(crate) fn get(&self, key: &QueryKey<'_>) -> Option<bool> {
-        self.stripe(key).get(key)
+    /// `key`'s entry, if any, without claiming it.
+    pub(crate) fn get(&self, key: &QueryKey<'_>) -> Option<Entry> {
+        self.stripe(key).1.entries.get(key)
     }
 
-    pub(crate) fn insert(&self, key: &QueryKey<'_>, answer: bool) {
-        self.stripe(key).insert(key, answer);
+    /// Claims `key` for the caller: a key with no entry becomes
+    /// [`Entry::InFlight`] and `None` is returned, and the caller must
+    /// then publish, release or fail it.  Any existing entry is returned
+    /// unchanged.
+    pub(crate) fn claim(&self, key: &QueryKey<'_>) -> Option<Entry> {
+        let (_, mut state) = self.stripe(key);
+        let entry = state.entries.get(key);
+        if entry.is_none() {
+            state.entries.insert(key, Entry::InFlight);
+        }
+        entry
     }
 
+    /// Records `answer` for `key` and wakes everyone waiting on it.
+    pub(crate) fn publish(&self, key: &QueryKey<'_>, answer: bool) {
+        self.settle(key, Some(Entry::Answered(answer)));
+    }
+
+    /// Drops the caller's claim on `key` without an answer; a waiter can
+    /// then claim the key and ask for itself.
+    pub(crate) fn release(&self, key: &QueryKey<'_>) {
+        self.settle(key, None);
+    }
+
+    /// Marks `key` failed and wakes everyone waiting on it.
+    pub(crate) fn fail(&self, key: &QueryKey<'_>) {
+        self.settle(key, Some(Entry::Failed));
+    }
+
+    /// Fails every in-flight key, so nobody waits on a claimer that is
+    /// gone (the resolver pool's worker-death recovery).
+    pub(crate) fn fail_in_flight(&self) {
+        for stripe in &self.stripes {
+            let mut state = lock_stripe(stripe);
+            for entry in state.entries.values_mut() {
+                if *entry == Entry::InFlight {
+                    *entry = Entry::Failed;
+                }
+            }
+            stripe.settled.notify_all();
+        }
+    }
+
+    /// Blocks while `key` is in flight.  The caller must hold no claim of
+    /// its own, or two callers could wait on each other.
+    pub(crate) fn wait(&self, key: &QueryKey<'_>) {
+        let (stripe, mut state) = self.stripe(key);
+        while state.entries.get(key) == Some(Entry::InFlight) {
+            state.waiters += 1;
+            state = stripe
+                .settled
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.waiters -= 1;
+        }
+    }
+
+    /// Number of answered keys.
     pub(crate) fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.lock().expect("answer store stripe poisoned").len())
+            .map(|stripe| {
+                let mut state = lock_stripe(stripe);
+                state
+                    .entries
+                    .values_mut()
+                    .filter(|entry| matches!(entry, Entry::Answered(_)))
+                    .count()
+            })
             .sum()
-    }
-
-    pub(crate) fn clear(&self) {
-        for stripe in &self.stripes {
-            stripe.lock().expect("answer store stripe poisoned").clear();
-        }
     }
 
     /// Stripe-lock contention events observed so far.
     pub(crate) fn contended(&self) -> u64 {
-        self.contended.load(std::sync::atomic::Ordering::Relaxed)
+        self.contended.load(Relaxed)
     }
+
+    #[cfg(test)]
+    fn waiters(&self) -> usize {
+        self.stripes.iter().map(|s| lock_stripe(s).waiters).sum()
+    }
+}
+
+fn lock_stripe(stripe: &Stripe) -> MutexGuard<'_, StripeState> {
+    stripe.state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Where each position of an incoming batch gets its answer from.
@@ -318,8 +451,8 @@ enum Source {
 
 /// One batch classified against an answer store: per-position sources, the
 /// deduplicated misses to forward, and how many positions were answered
-/// without the backend.  Shared by [`BatchSession`] and the caching
-/// wrapper so the two-phase logic cannot drift apart.
+/// without the backend.  Shared by [`BatchSession`] and
+/// [`SharedSession`] so the two-phase logic cannot drift apart.
 pub(crate) struct BatchPlan<'a> {
     sources: Vec<Source>,
     pub(crate) misses: Vec<QueryKey<'a>>,
@@ -467,33 +600,10 @@ impl<'o> BatchSession<'o> {
 
     /// Answers `batch[i]` in `result[i]`, consulting the session store
     /// first and forwarding at most one deduplicated sub-batch to the
-    /// backend.
+    /// backend (inline, even on a session built with a pool).
     pub fn resolve(&mut self, batch: &[QueryKey<'_>]) -> Vec<bool> {
-        self.stats.keys_submitted += batch.len() as u64;
-        if batch.is_empty() {
-            return Vec::new();
-        }
-
-        let plan = BatchPlan::classify(batch, |key| self.cache.get(key));
-        self.stats.keys_deduped += plan.hits();
-
-        let miss_answers = if plan.misses.is_empty() {
-            Vec::new()
-        } else {
-            self.stats.batches += 1;
-            self.stats.backend_keys += plan.misses.len() as u64;
-            let answers = resolve_cost_ordered(self.oracle, &plan.misses);
-            // Placeholder answers from a faulted backend (see the
-            // fault-sink contract in the `error` module) must not enter
-            // the session store.
-            if !crate::error::fault_pending() {
-                for (key, &answer) in plan.misses.iter().zip(&answers) {
-                    self.cache.insert(key, answer);
-                }
-            }
-            answers
-        };
-        plan.into_answers(miss_answers)
+        self.resolve_via(batch, None)
+            .expect("an inline resolve always completes")
     }
 
     /// The non-blocking flavour of [`resolve`](BatchSession::resolve) for
@@ -510,56 +620,62 @@ impl<'o> BatchSession<'o> {
     /// Counters only move when the batch completes, so a retried batch is
     /// counted once — exactly as a synchronous session would count it.
     pub fn try_resolve(&mut self, batch: &[QueryKey<'_>]) -> Option<Vec<bool>> {
-        let Some(pool) = self.overlap else {
-            return Some(self.resolve(batch));
-        };
-        if batch.is_empty() {
-            return Some(Vec::new());
-        }
+        self.resolve_via(batch, self.overlap)
+    }
+
+    fn resolve_via(
+        &mut self,
+        batch: &[QueryKey<'_>],
+        pool: Option<&ResolverPool>,
+    ) -> Option<Vec<bool>> {
         let plan = BatchPlan::classify(batch, |key| self.cache.get(key));
-        let mut pending = Vec::new();
-        let miss_answers: Vec<Option<bool>> = plan
-            .misses
-            .iter()
-            .map(|key| {
-                let answer = pool.lookup(key);
-                if answer.is_none() {
-                    pending.push(*key);
+        let miss_answers = match pool {
+            _ if plan.misses.is_empty() => Vec::new(),
+            None => resolve_cost_ordered(self.oracle, &plan.misses),
+            Some(pool) => {
+                let mut pending: Vec<QueryKey<'_>> = plan
+                    .misses
+                    .iter()
+                    .copied()
+                    .filter(|key| pool.lookup(key).is_none())
+                    .collect();
+                if !pending.is_empty() {
+                    // Submit cheapest-first: the pool drains its queue in
+                    // FIFO order, so the questions most likely to prune
+                    // (cache or heuristic-tier answers) complete ahead of
+                    // LLM-class ones.
+                    pending
+                        .sort_by_cached_key(|key| self.oracle.question_cost(key.query, key.text));
+                    pool.submit(&pending);
+                    return None;
                 }
-                answer
-            })
-            .collect();
-        if !pending.is_empty() {
-            // Submit cheapest-first: the pool drains its queue in FIFO
-            // order, so the questions most likely to prune (cache or
-            // heuristic-tier answers) complete ahead of LLM-class ones.
-            pending.sort_by_cached_key(|key| self.oracle.question_cost(key.query, key.text));
-            pool.submit(&pending);
-            return None;
-        }
+                // Published answers are never evicted.
+                plan.misses
+                    .iter()
+                    .map(|key| pool.lookup(key).expect("every miss resolved"))
+                    .collect()
+            }
+        };
         self.stats.keys_submitted += batch.len() as u64;
         self.stats.keys_deduped += plan.hits();
-        let answers: Vec<bool> = miss_answers
-            .into_iter()
-            .map(|answer| answer.expect("every miss resolved"))
-            .collect();
         if !plan.misses.is_empty() {
-            // The pool's store plays the backend role here: these keys
-            // went past the session, so they count as backend keys even
-            // though the true backend round trips happened in the pool
-            // (and are reported by its own counters).
+            // On an overlapped session the pool's store plays the backend
+            // role: these keys went past the session, so they count as
+            // backend keys even though the true backend round trips
+            // happened in the pool (and are reported by its own counters).
             self.stats.batches += 1;
             self.stats.backend_keys += plan.misses.len() as u64;
-            // A failed pool key completes as a placeholder with a fault
-            // pending (recorded by `pool.lookup`); keep it out of the
-            // session store.
+            // Placeholder answers from a faulted backend, or from a failed
+            // pool key (whose lookup recorded the fault), must not enter
+            // the session store (the fault-sink contract in the `error`
+            // module).
             if !crate::error::fault_pending() {
-                for (key, &answer) in plan.misses.iter().zip(&answers) {
+                for (key, &answer) in plan.misses.iter().zip(&miss_answers) {
                     self.cache.insert(key, answer);
                 }
             }
         }
-        Some(plan.into_answers(answers))
+        Some(plan.into_answers(miss_answers))
     }
 
     /// Batch-plane counters accumulated by this session.
@@ -598,7 +714,7 @@ impl std::fmt::Debug for BatchSession<'_> {
 /// plus the spec tag its records are filed under.
 #[derive(Debug)]
 struct PersistBinding {
-    store: std::sync::Arc<crate::persist::PersistentAnswerStore>,
+    store: Arc<crate::persist::PersistentAnswerStore>,
     spec: String,
 }
 
@@ -606,11 +722,11 @@ struct PersistBinding {
 #[derive(Debug, Default)]
 struct SharedSessionState {
     cache: ShardedAnswerStore,
-    keys_submitted: std::sync::atomic::AtomicU64,
-    keys_deduped: std::sync::atomic::AtomicU64,
-    backend_keys: std::sync::atomic::AtomicU64,
-    batches: std::sync::atomic::AtomicU64,
-    persisted_hits: std::sync::atomic::AtomicU64,
+    keys_submitted: AtomicU64,
+    keys_deduped: AtomicU64,
+    backend_keys: AtomicU64,
+    batches: AtomicU64,
+    persisted_hits: AtomicU64,
     persist: Option<PersistBinding>,
 }
 
@@ -626,15 +742,19 @@ struct SharedSessionState {
 /// a multi-file scan dedupe oracle questions globally — a medicine name
 /// repeated across a whole directory tree is judged once.
 ///
-/// The store is **lock-striped** (`ShardedAnswerStore`, 16 stripes keyed
-/// by hashing the question), so concurrent workers probing different keys
-/// do not serialize behind one mutex; observed stripe contention is
-/// reported by [`contended`](SharedSession::contended).
+/// Resolution is **single-flight** through a 16-way lock-striped store:
+/// one thread claims a fresh key and asks the backend, threads that want
+/// the same key wait for its answer.  Each distinct question reaches the
+/// backend once per session, however many threads ask it, so
+/// `SharedSession::new(backend)` is also the query cache that
+/// determinizes a nondeterministic backend (Assumption 2.4).
 ///
 /// Answer-level counters are exposed as a [`BatchStats`]:
-/// `keys_submitted` / `keys_deduped` count questions arriving here (after
-/// per-chunk dedup), `backend_keys` counts questions that actually reached
-/// the backend.
+/// `keys_submitted` counts questions arriving here (after per-chunk
+/// dedup), `keys_deduped` those answered from memory, `backend_keys`
+/// those that actually reached the backend, and
+/// [`persisted_hits`](SharedSession::persisted_hits) those answered by
+/// the answer log; the last three always sum to the first.
 ///
 /// # Examples
 ///
@@ -652,8 +772,8 @@ struct SharedSessionState {
 /// ```
 #[derive(Clone)]
 pub struct SharedSession {
-    oracle: std::sync::Arc<dyn Oracle>,
-    state: std::sync::Arc<SharedSessionState>,
+    oracle: Arc<dyn Oracle>,
+    state: Arc<SharedSessionState>,
 }
 
 impl std::fmt::Debug for SharedSession {
@@ -669,10 +789,10 @@ impl std::fmt::Debug for SharedSession {
 impl SharedSession {
     /// A fresh shared session over `oracle`.  Clones share the same store
     /// and counters.
-    pub fn new(oracle: std::sync::Arc<dyn Oracle>) -> Self {
+    pub fn new(oracle: Arc<dyn Oracle>) -> Self {
         SharedSession {
             oracle,
-            state: std::sync::Arc::new(SharedSessionState::default()),
+            state: Arc::new(SharedSessionState::default()),
         }
     }
 
@@ -690,13 +810,13 @@ impl SharedSession {
     /// CLI's `OracleSpec` display form); sessions over different oracles
     /// can share one store as long as their tags differ.
     pub fn with_persistence(
-        oracle: std::sync::Arc<dyn Oracle>,
-        store: std::sync::Arc<crate::persist::PersistentAnswerStore>,
+        oracle: Arc<dyn Oracle>,
+        store: Arc<crate::persist::PersistentAnswerStore>,
         spec: impl Into<String>,
     ) -> Self {
         SharedSession {
             oracle,
-            state: std::sync::Arc::new(SharedSessionState {
+            state: Arc::new(SharedSessionState {
                 persist: Some(PersistBinding {
                     store,
                     spec: spec.into(),
@@ -707,18 +827,17 @@ impl SharedSession {
     }
 
     /// The backend this session resolves against.
-    pub fn backend(&self) -> &std::sync::Arc<dyn Oracle> {
+    pub fn backend(&self) -> &Arc<dyn Oracle> {
         &self.oracle
     }
 
     /// The persistent answer store this session records to, if any.
-    pub fn persist_store(&self) -> Option<&std::sync::Arc<crate::persist::PersistentAnswerStore>> {
+    pub fn persist_store(&self) -> Option<&Arc<crate::persist::PersistentAnswerStore>> {
         self.state.persist.as_ref().map(|binding| &binding.store)
     }
 
     /// Batch-plane counters accumulated across every clone.
     pub fn stats(&self) -> BatchStats {
-        use std::sync::atomic::Ordering::Relaxed;
         BatchStats {
             batches: self.state.batches.load(Relaxed),
             keys_submitted: self.state.keys_submitted.load(Relaxed),
@@ -732,9 +851,7 @@ impl SharedSession {
     /// for sessions built without
     /// [`with_persistence`](SharedSession::with_persistence).
     pub fn persisted_hits(&self) -> u64 {
-        self.state
-            .persisted_hits
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.state.persisted_hits.load(Relaxed)
     }
 
     /// Number of lock stripes in the sharded answer store.
@@ -758,109 +875,128 @@ impl SharedSession {
         self.len() == 0
     }
 
-    /// Drops all stored answers and counters.  The persistent store (if
-    /// any) is *not* cleared: it outlives sessions by design.
-    pub fn clear(&self) {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.state.cache.clear();
-        self.state.keys_submitted.store(0, Relaxed);
-        self.state.keys_deduped.store(0, Relaxed);
-        self.state.backend_keys.store(0, Relaxed);
-        self.state.batches.store(0, Relaxed);
-        self.state.persisted_hits.store(0, Relaxed);
+    /// Answers pairwise-distinct `keys` single-flight: a key is answered
+    /// from memory, or by the one caller that claimed it (from the answer
+    /// log, else the backend).  Keys another caller has in flight are
+    /// waited for only after this caller's own claims are settled, so two
+    /// callers never wait on each other.
+    fn resolve_distinct(&self, keys: &[QueryKey<'_>]) -> Vec<bool> {
+        let mut answers = vec![false; keys.len()];
+        let mut waiting = self.claim_round(keys, 0..keys.len(), &mut answers);
+        while !waiting.is_empty() {
+            for &i in &waiting {
+                self.state.cache.wait(&keys[i]);
+            }
+            // A waited-for key is answered now, or was released by a
+            // faulted claimer and is claimed again.
+            waiting = self.claim_round(keys, waiting.into_iter(), &mut answers);
+        }
+        answers
+    }
+
+    /// Claims the keys at `round` and settles every claim it gets: from
+    /// the answer log, else in one backend round trip.  Returns the keys
+    /// another caller has in flight.
+    fn claim_round(
+        &self,
+        keys: &[QueryKey<'_>],
+        round: impl Iterator<Item = usize>,
+        answers: &mut [bool],
+    ) -> Vec<usize> {
+        let state = &*self.state;
+        let (mut misses, mut waiting) = (Vec::new(), Vec::new());
+        for i in round {
+            let key = &keys[i];
+            match state.cache.claim(key) {
+                Some(Entry::Answered(answer)) => {
+                    state.keys_deduped.fetch_add(1, Relaxed);
+                    answers[i] = answer;
+                }
+                Some(Entry::InFlight) => waiting.push(i),
+                Some(Entry::Failed) => unreachable!("shared sessions never fail a key"),
+                None => {
+                    match state.persist.as_ref().and_then(|binding| {
+                        binding.store.lookup(&binding.spec, key.query, key.text)
+                    }) {
+                        Some(answer) => {
+                            state.persisted_hits.fetch_add(1, Relaxed);
+                            state.cache.publish(key, answer);
+                            answers[i] = answer;
+                        }
+                        None => misses.push(i),
+                    }
+                }
+            }
+        }
+        if misses.is_empty() {
+            return waiting;
+        }
+        let batch: Vec<QueryKey<'_>> = misses.iter().map(|&i| keys[i]).collect();
+        state.batches.fetch_add(1, Relaxed);
+        state.backend_keys.fetch_add(batch.len() as u64, Relaxed);
+        let resolved = catch_unwind(AssertUnwindSafe(|| {
+            let resolved = resolve_cost_ordered(self.oracle.as_ref(), &batch);
+            assert_eq!(
+                resolved.len(),
+                batch.len(),
+                "backend returned a wrong-sized answer vector"
+            );
+            resolved
+        }))
+        .unwrap_or_else(|panic| {
+            // Waiters must not block forever on a claimer that unwound.
+            batch.iter().for_each(|key| state.cache.release(key));
+            resume_unwind(panic)
+        });
+        // A faulted backend answers with placeholders (fault-sink
+        // contract).  They are released, never cached and above all never
+        // persisted (a placeholder in the answer log would replay as
+        // truth forever); a waiter then claims the key and asks again,
+        // recording its own fault if the backend is still down.
+        let faulted = crate::error::fault_pending();
+        for ((&i, key), answer) in misses.iter().zip(&batch).zip(resolved) {
+            answers[i] = answer;
+            if faulted {
+                state.cache.release(key);
+                continue;
+            }
+            state.cache.publish(key, answer);
+            if let Some(binding) = &state.persist {
+                binding
+                    .store
+                    .record(&binding.spec, key.query, key.text, answer);
+            }
+        }
+        waiting
     }
 }
 
 impl Oracle for SharedSession {
     fn holds(&self, query: &str, text: &[u8]) -> bool {
-        use std::sync::atomic::Ordering::Relaxed;
-        self.state.keys_submitted.fetch_add(1, Relaxed);
-        let key = QueryKey::new(query, text);
-        if let Some(answer) = self.state.cache.get(&key) {
-            self.state.keys_deduped.fetch_add(1, Relaxed);
-            return answer;
-        }
-        if let Some(binding) = &self.state.persist {
-            if let Some(answer) = binding.store.lookup(&binding.spec, query, text) {
-                self.state.persisted_hits.fetch_add(1, Relaxed);
-                self.state.cache.insert(&key, answer);
-                return answer;
-            }
-        }
-        // The backend call happens outside any stripe lock so a slow
-        // oracle does not serialize unrelated questions from other files'
-        // workers.  Two threads racing on the same fresh key may both
-        // reach the backend; determinism (the Oracle contract) makes that
-        // harmless, and the store converges to one entry.
-        let answer = self.oracle.holds(query, text);
-        self.state.backend_keys.fetch_add(1, Relaxed);
-        self.state.batches.fetch_add(1, Relaxed);
-        // A faulted backend answers with a placeholder (fault-sink
-        // contract): never cache it, and above all never persist it —
-        // a placeholder in the answer log would replay as truth forever.
-        if !crate::error::fault_pending() {
-            self.state.cache.insert(&key, answer);
-            if let Some(binding) = &self.state.persist {
-                binding.store.record(&binding.spec, query, text, answer);
-            }
-        }
-        answer
+        self.resolve_batch(&[QueryKey::new(query, text)])[0]
     }
 
     fn resolve_batch(&self, batch: &[QueryKey<'_>]) -> Vec<bool> {
-        use std::sync::atomic::Ordering::Relaxed;
         self.state
             .keys_submitted
             .fetch_add(batch.len() as u64, Relaxed);
-        if batch.is_empty() {
-            return Vec::new();
+        // One key cannot repeat within its batch, and the synchronous
+        // plane mostly sends one: skip the duplicate scan.
+        if batch.len() == 1 {
+            return self.resolve_distinct(batch);
         }
-        // The classifying lookup layers the persistent store behind the
-        // in-memory one: a disk hit is pulled into memory (so intra-batch
-        // duplicates of it count as memory hits) and tallied separately.
-        let mut persisted = 0u64;
-        let plan = BatchPlan::classify(batch, |key| {
-            if let Some(answer) = self.state.cache.get(key) {
-                return Some(answer);
-            }
-            let binding = self.state.persist.as_ref()?;
-            let answer = binding.store.lookup(&binding.spec, key.query, key.text)?;
-            persisted += 1;
-            self.state.cache.insert(key, answer);
-            Some(answer)
-        });
-        self.state.persisted_hits.fetch_add(persisted, Relaxed);
-        self.state
-            .keys_deduped
-            .fetch_add(plan.hits() - persisted, Relaxed);
-        let miss_answers = if plan.misses.is_empty() {
-            Vec::new()
-        } else {
-            self.state.batches.fetch_add(1, Relaxed);
-            self.state
-                .backend_keys
-                .fetch_add(plan.misses.len() as u64, Relaxed);
-            let answers = resolve_cost_ordered(self.oracle.as_ref(), &plan.misses);
-            // Same placeholder rule as `holds`: a pending fault keeps
-            // the whole miss batch out of the cache and the answer log.
-            if !crate::error::fault_pending() {
-                for (key, &answer) in plan.misses.iter().zip(&answers) {
-                    self.state.cache.insert(key, answer);
-                    if let Some(binding) = &self.state.persist {
-                        binding
-                            .store
-                            .record(&binding.spec, key.query, key.text, answer);
-                    }
-                }
-            }
-            answers
-        };
-        plan.into_answers(miss_answers)
+        // Intra-batch duplicates count as in-memory hits; each distinct
+        // key then goes through the single-flight path once.
+        let plan = BatchPlan::classify(batch, |_| None);
+        self.state.keys_deduped.fetch_add(plan.hits(), Relaxed);
+        let answers = self.resolve_distinct(&plan.misses);
+        plan.into_answers(answers)
     }
 
     fn question_cost(&self, query: &str, text: &[u8]) -> u32 {
-        // A key any clone has already answered is free; fresh keys cost
-        // whatever the backend charges.
+        // A key any clone has answered, or is asking right now, costs no
+        // further backend question; fresh keys cost whatever the backend
+        // charges.
         let key = QueryKey::new(query, text);
         if self.state.cache.get(&key).is_some() {
             return 0;
@@ -1002,12 +1138,130 @@ mod tests {
             }
         });
         assert_eq!(backend.stats().calls, 2, "no new backend questions");
-        assert!(shared.stats().keys_deduped >= 9);
+        // Every repeat is a hit: the batch's `ab` plus eight thread asks.
+        assert_eq!(shared.stats().keys_deduped, 9);
+        assert_eq!(shared.stats().backend_keys, 2);
+        assert_eq!(shared.len(), 2);
+        assert!(!shared.is_empty());
         assert!(shared.describe().contains("shared-session"));
 
-        shared.clear();
-        assert!(shared.is_empty());
-        assert_eq!(shared.stats(), BatchStats::default());
+        // Keys differ by query and by text.
+        let by_query =
+            SharedSession::new(Arc::new(PredicateOracle::new(|q: &str, _: &[u8]| q == "a")));
+        assert!(by_query.holds("a", b"x"));
+        assert!(!by_query.holds("b", b"x"));
+        assert!(by_query.holds("a", b"y"));
+        assert_eq!(by_query.len(), 3);
+        assert_eq!(by_query.stats().keys_deduped, 0);
+    }
+
+    #[test]
+    fn shared_session_asks_each_key_once_across_racing_threads() {
+        use std::sync::{Arc, Barrier};
+        // A slow backend widens the window in which racing threads miss
+        // on the same fresh key.
+        let backend = Arc::new(Instrumented::new(PredicateOracle::new(|_, t: &[u8]| {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            t.len() % 2 == 0
+        })));
+        let shared = SharedSession::new(backend.clone());
+        let batch = keys(&[("q", b"ab"), ("q", b"abc"), ("q", b"abcd"), ("q", b"abcde")]);
+        let expected = [true, false, true, false];
+        let start = Barrier::new(4);
+        std::thread::scope(|scope| {
+            for worker in 0..4 {
+                let (shared, batch, start) = (shared.clone(), &batch, &start);
+                scope.spawn(move || {
+                    let point_wise = || {
+                        for i in (0..batch.len()).map(|i| (i + worker) % batch.len()) {
+                            assert_eq!(shared.holds("q", batch[i].text), expected[i]);
+                        }
+                    };
+                    start.wait();
+                    if worker % 2 == 0 {
+                        point_wise();
+                        assert_eq!(shared.resolve_batch(batch), expected);
+                    } else {
+                        assert_eq!(shared.resolve_batch(batch), expected);
+                        point_wise();
+                    }
+                });
+            }
+        });
+        assert_eq!(backend.stats().calls, 4, "one question per distinct key");
+        let stats = shared.stats();
+        assert_eq!(stats.backend_keys, 4);
+        assert_eq!(
+            stats.keys_submitted,
+            stats.keys_deduped + shared.persisted_hits() + stats.backend_keys,
+            "{stats:?}"
+        );
+        assert_eq!(shared.len(), 4);
+    }
+
+    #[test]
+    fn a_faulted_claim_is_released_to_its_waiter() {
+        use crate::error::{record_fault, take_fault, OracleError};
+        use crate::persist::PersistentAnswerStore;
+        use std::sync::atomic::AtomicU64;
+        use std::sync::{Arc, Barrier};
+
+        let dir = std::env::temp_dir().join(format!("semre-batch-fault-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // The first call faults; then either every call does, or none.
+        for faulty_calls in [u64::MAX, 1] {
+            let log = dir.join(format!("answers-{faulty_calls}.log"));
+            let _ = std::fs::remove_file(&log);
+            let calls = Arc::new(AtomicU64::new(0));
+            let entered = Arc::new(Barrier::new(2));
+            let proceed = Arc::new(Barrier::new(2));
+            let backend = {
+                let (calls, entered, proceed) = (calls.clone(), entered.clone(), proceed.clone());
+                PredicateOracle::new(move |_, _: &[u8]| {
+                    let call = calls.fetch_add(1, Relaxed);
+                    if call == 0 {
+                        // Hold the claim until the waiter is parked on it.
+                        entered.wait();
+                        proceed.wait();
+                    }
+                    if call < faulty_calls {
+                        record_fault(OracleError::transient("backend down"));
+                        return false;
+                    }
+                    true
+                })
+            };
+            let store = Arc::new(PersistentAnswerStore::open(&log).unwrap());
+            let shared = SharedSession::with_persistence(Arc::new(backend), store.clone(), "flaky");
+            let ask = || (shared.holds("q", b"key"), take_fault());
+            let (claimer, waiter) = std::thread::scope(|scope| {
+                let claimer = scope.spawn(ask);
+                entered.wait();
+                let waiter = scope.spawn(ask);
+                while shared.state.cache.waiters() == 0 {
+                    std::thread::yield_now();
+                }
+                proceed.wait();
+                (claimer.join().unwrap(), waiter.join().unwrap())
+            });
+
+            assert!(!claimer.0 && claimer.1.is_some(), "placeholder plus fault");
+            assert_eq!(calls.load(Relaxed), 2, "the waiter asked for itself");
+            // Either a real answer with no fault, or the waiter's own
+            // fault; never a placeholder in the store or the answer log.
+            let real = (faulty_calls == 1).then_some(true);
+            assert_eq!(
+                (waiter.0, waiter.1.is_none()),
+                (real.is_some(), real.is_some())
+            );
+            let key = QueryKey::new("q", b"key");
+            assert_eq!(shared.state.cache.get(&key), real.map(Entry::Answered));
+            assert_eq!(store.lookup("flaky", "q", b"key"), real);
+            assert_eq!(store.appended(), u64::from(real.is_some()));
+            let stats = shared.stats();
+            assert_eq!((stats.keys_submitted, stats.backend_keys), (2, 2));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1114,15 +1368,14 @@ mod tests {
                     for i in 0..64u32 {
                         let text = format!("text-{}", (worker + i) % 16);
                         let key = QueryKey::new("q", text.as_bytes());
-                        store.insert(&key, (worker + i) % 16 % 2 == 0);
-                        assert_eq!(store.get(&key), Some((worker + i) % 16 % 2 == 0));
+                        let answer = (worker + i) % 16 % 2 == 0;
+                        store.publish(&key, answer);
+                        assert_eq!(store.claim(&key), Some(Entry::Answered(answer)));
                     }
                 });
             }
         });
         assert_eq!(store.len(), 16, "one entry per distinct key");
-        store.clear();
-        assert_eq!(store.len(), 0);
     }
 
     #[test]

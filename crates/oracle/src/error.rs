@@ -29,10 +29,14 @@
 //! placeholders from ever becoming wrong verdicts:
 //!
 //! 1. **No store pollution.** Every answer-store insertion site (the
-//!    batch session, the shared session, the caching wrapper, the
-//!    resolver pool) checks [`fault_pending`] after a backend call and
-//!    skips the insert while a fault is pending, so a placeholder is
-//!    never cached, persisted, or replayed.
+//!    batch session, the shared session, the tiered resolver's cache
+//!    tier, the resolver pool) checks [`fault_pending`] after a backend
+//!    call and skips the insert while a fault is pending, so a
+//!    placeholder is never cached, persisted, or replayed.  The shared
+//!    session releases its claim instead, so a thread waiting on the
+//!    same key asks again and records a fault of its own if the backend
+//!    is still down; the pool marks the key failed, and every later
+//!    lookup of it records the pool's fault.
 //! 2. **Explicit degradation.** Scan drivers call [`take_fault`] at
 //!    every line boundary; a line whose evaluation consumed a
 //!    placeholder is either an error (`fail`), skipped (`skip-line`), or

@@ -9,8 +9,8 @@
 //!
 //! * the [`Oracle`] trait — the single point of contact between matching
 //!   algorithms and the outside world;
-//! * wrappers: [`Instrumented`] (call counting + simulated latency, feeding
-//!   the Table 2 statistics) and [`CachingOracle`] (memoization /
+//! * [`Instrumented`] (call counting + simulated latency, feeding the
+//!   Table 2 statistics) and [`SharedSession`] (single-flight memoization /
 //!   determinization, Assumption 2.4);
 //! * basic oracles: [`ConstOracle`], [`PredicateOracle`], [`SetOracle`],
 //!   [`TableOracle`], [`PalindromeOracle`];
@@ -27,16 +27,18 @@
 //! # Example
 //!
 //! ```
-//! use semre_oracle::{CachingOracle, Instrumented, LatencyModel, Oracle, SimLlmOracle};
+//! use std::sync::Arc;
+//! use semre_oracle::{Instrumented, LatencyModel, Oracle, SharedSession, SimLlmOracle};
 //!
 //! // The paper's LLM setup: a deterministic model behind a query cache,
 //! // with every call's cost accounted.
-//! let llm = Instrumented::with_latency(SimLlmOracle::new(), LatencyModel::llm());
-//! let oracle = CachingOracle::new(llm);
+//! let llm = Arc::new(Instrumented::with_latency(SimLlmOracle::new(), LatencyModel::llm()));
+//! let oracle = SharedSession::new(llm.clone());
 //!
 //! assert!(oracle.holds("Medicine name", b"tramadol"));
 //! assert!(oracle.holds("Medicine name", b"tramadol")); // answered from cache
-//! assert_eq!(oracle.inner().stats().calls, 1);
+//! assert_eq!(llm.stats().calls, 1);
+//! assert_eq!(oracle.stats().keys_deduped, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -77,7 +79,7 @@ pub use sim_llm::{
 };
 pub use simple::{ConstOracle, PalindromeOracle, PredicateOracle, SetOracle, TableOracle};
 pub use stats::{BatchStats, OracleStats};
-pub use wrappers::{CachingOracle, Instrumented, LatencyModel};
+pub use wrappers::{Instrumented, LatencyModel};
 
 /// The cost [`Oracle::question_cost`] reports when an oracle has no
 /// better estimate: the price of one authoritative (LLM-class) question.
@@ -93,11 +95,11 @@ pub const DEFAULT_QUESTION_COST: u32 = 100;
 /// the same `(query, text)` pair any number of times (possibly zero) and in
 /// any order, and correctness relies on always receiving the same answer
 /// (Assumption 2.4 of the paper).  Nondeterministic backends should be
-/// wrapped in a [`CachingOracle`].
+/// wrapped in a [`SharedSession`], which asks each distinct question once.
 ///
 /// Oracles answer through a shared reference and must be usable from
 /// multiple matching threads, hence the `Send + Sync` supertraits; use
-/// interior mutability (as [`CachingOracle`] does) for stateful backends.
+/// interior mutability (as [`SharedSession`] does) for stateful backends.
 pub trait Oracle: Send + Sync {
     /// Does the string `text` belong to the semantic category named by
     /// `query`?
@@ -108,9 +110,9 @@ pub trait Oracle: Send + Sync {
     ///
     /// The default implementation is point-wise [`holds`](Oracle::holds),
     /// so every oracle participates in the batched query plane unchanged;
-    /// backends that amortize round trips (and the instrumentation /
-    /// caching wrappers) override it.  Overrides must answer exactly like
-    /// point-wise `holds` would.
+    /// backends that amortize round trips (and the `Instrumented` and
+    /// `SharedSession` wrappers) override it.  Overrides must answer
+    /// exactly like point-wise `holds` would.
     fn resolve_batch(&self, batch: &[QueryKey<'_>]) -> Vec<bool> {
         batch
             .iter()

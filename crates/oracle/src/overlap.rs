@@ -11,13 +11,15 @@
 //!   questions — questions the evaluator provably needs, enlisted through
 //!   the usual `QueryLedger` seam — and resolve them through
 //!   [`Oracle::resolve_batch`] in the background;
-//! * answers are published into a sharded, lock-striped answer store
-//!   (16 stripes, the same layout that backs
-//!   [`SharedSession`](crate::SharedSession)), where any number of scan
-//!   threads can probe them without serializing;
-//! * submissions **coalesce**: a key already answered, already queued, or
-//!   already in flight is never queued twice, so identical questions from
-//!   different lines, chunks, or files of a scan cost one backend key;
+//! * answers are published into the pool's own instance of the crate's
+//!   sharded, lock-striped single-flight store (16 stripes, the store
+//!   type behind [`SharedSession`](crate::SharedSession)), where any
+//!   number of scan threads can probe them without serializing;
+//! * submissions **coalesce** through that store: a submitter queues a
+//!   key only if it claims it, so a key already answered, already queued,
+//!   already in flight or already failed is never queued twice, and
+//!   identical questions from different lines, chunks, or files of a scan
+//!   cost one backend key;
 //! * a bounded **in-flight window** applies backpressure — submitters
 //!   block while the queue plus in-flight keys exceed the window, keeping
 //!   memory and backend pressure proportional to the window, not the
@@ -32,20 +34,15 @@
 //! the DP baseline and the per-call plane keep working unchanged.
 //!
 //! Correctness leans on Assumption 2.4 of the paper (oracle determinism):
-//! a question resolved twice — e.g. once by a racing synchronous path and
-//! once by the pool — always yields the same answer, so replaying a
-//! suspended line against published answers can never change its verdict.
+//! each key is asked once and its published answer never changes, so
+//! resuming a suspended line against published answers can never change
+//! its verdict.
 
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{
-    AtomicBool, AtomicU64,
-    Ordering::{Acquire, Relaxed, Release},
-};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
-use crate::batch::{ShardedAnswerStore, ANSWER_STORE_SHARDS};
+use crate::batch::{Entry, ShardedAnswerStore, ANSWER_STORE_SHARDS};
 use crate::error::{record_fault, take_fault, OracleError};
 use crate::{Oracle, QueryKey};
 
@@ -97,61 +94,30 @@ pub struct ResolverStats {
     pub dead_workers: u64,
 }
 
-/// Owned `(query, text)` keys tracked as queued or in flight, probed with
-/// borrowed keys (the same nested shape as the answer store).
-#[derive(Default)]
-struct KeySet {
-    map: HashMap<String, HashSet<Vec<u8>>>,
-}
-
-impl KeySet {
-    fn contains(&self, key: &QueryKey<'_>) -> bool {
-        self.map
-            .get(key.query)
-            .is_some_and(|texts| texts.contains(key.text))
-    }
-
-    fn insert(&mut self, key: &QueryKey<'_>) {
-        self.map
-            .entry(key.query.to_owned())
-            .or_default()
-            .insert(key.text.to_vec());
-    }
-
-    fn remove(&mut self, query: &str, text: &[u8]) {
-        if let Some(texts) = self.map.get_mut(query) {
-            texts.remove(text);
-        }
-    }
-
-    /// Moves every key of `self` into `other` (worker-death recovery).
-    fn drain_into(&mut self, other: &mut KeySet) {
-        for (query, texts) in self.map.drain() {
-            other.map.entry(query).or_default().extend(texts);
-        }
-    }
-}
-
 /// The submission queue, guarded by one mutex (held only for queue
 /// bookkeeping — never across a backend call).
 #[derive(Default)]
 struct Queue {
-    /// Keys waiting for a worker, in submission order.
+    /// Keys waiting for a worker, in submission order.  Each was claimed
+    /// in the store by its submitter and stays in flight there until a
+    /// worker publishes or fails it.
     pending: Vec<(String, Vec<u8>)>,
-    /// Keys queued or claimed by a worker but not yet published.
-    tracked: KeySet,
     /// Keys currently inside a worker's backend round trip.
     in_flight: usize,
     /// Set on shutdown; workers exit once the queue drains.
     closed: bool,
-    /// Keys whose batch failed.  Sticky for the pool's lifetime:
-    /// [`ResolverPool::lookup`] answers them with a placeholder plus a
-    /// recorded fault, and resubmissions coalesce away instead of
-    /// retrying (the retry policy lives *below* the pool, in
+    /// The first failure's error, kept as the pool's root cause.  Failed
+    /// keys are sticky for the pool's lifetime: the store keeps them
+    /// [`Entry::Failed`], [`ResolverPool::lookup`] answers them with a
+    /// placeholder plus this error, and resubmissions coalesce away
+    /// instead of retrying (the retry policy lives *below* the pool, in
     /// [`RetryOracle`](crate::RetryOracle)).
-    failed: KeySet,
-    /// The first failure's error, kept as the pool's root cause.
     error: Option<OracleError>,
+    /// Completion generation: bumped once per completed batch.
+    generation: u64,
+    /// The pool's counters, all updated under this lock
+    /// (`store_contended` is read from the store on snapshot).
+    stats: ResolverStats,
 }
 
 /// Locks the queue, recovering the guard if a worker died while holding
@@ -162,14 +128,6 @@ fn lock_queue(shared: &PoolShared) -> MutexGuard<'_, Queue> {
     shared.queue.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Locks the progress generation with the same poison recovery.
-fn lock_progress(shared: &PoolShared) -> MutexGuard<'_, u64> {
-    shared
-        .progress
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
 struct PoolShared {
     oracle: Arc<dyn Oracle>,
     store: ShardedAnswerStore,
@@ -178,24 +136,10 @@ struct PoolShared {
     work_ready: Condvar,
     /// Signals submitters that the in-flight window may have room again.
     window_open: Condvar,
-    /// Completion generation: bumped once per published batch.
-    progress: Mutex<u64>,
+    /// Signals waiters that the completion generation moved.
     progressed: Condvar,
     threads: usize,
     in_flight_window: usize,
-    submitted: AtomicU64,
-    coalesced: AtomicU64,
-    batches: AtomicU64,
-    backend_keys: AtomicU64,
-    high_water: AtomicU64,
-    suspends: AtomicU64,
-    resumes: AtomicU64,
-    failed_batches: AtomicU64,
-    failed_keys: AtomicU64,
-    dead_workers: AtomicU64,
-    /// Fast-path flag: `lookup` only takes the queue lock to consult the
-    /// failed set once at least one batch has failed.
-    has_failures: AtomicBool,
 }
 
 /// A background pool of oracle-resolver threads with a sharded answer
@@ -240,7 +184,6 @@ impl ResolverPool {
             queue: Mutex::new(Queue::default()),
             work_ready: Condvar::new(),
             window_open: Condvar::new(),
-            progress: Mutex::new(0),
             progressed: Condvar::new(),
             threads,
             in_flight_window: if in_flight == 0 {
@@ -248,17 +191,6 @@ impl ResolverPool {
             } else {
                 in_flight
             },
-            submitted: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            backend_keys: AtomicU64::new(0),
-            high_water: AtomicU64::new(0),
-            suspends: AtomicU64::new(0),
-            resumes: AtomicU64::new(0),
-            failed_batches: AtomicU64::new(0),
-            failed_keys: AtomicU64::new(0),
-            dead_workers: AtomicU64::new(0),
-            has_failures: AtomicBool::new(false),
         });
         let workers = (0..threads)
             .map(|_| {
@@ -296,22 +228,15 @@ impl ResolverPool {
     /// thread's fault sink — so waiters observe the failure instead of
     /// spinning forever on an answer that will never be published.
     pub fn lookup(&self, key: &QueryKey<'_>) -> Option<bool> {
-        if let Some(answer) = self.shared.store.get(key) {
-            return Some(answer);
-        }
-        if self.shared.has_failures.load(Acquire) {
-            let queue = lock_queue(&self.shared);
-            if queue.failed.contains(key) {
-                let error = queue
-                    .error
-                    .clone()
-                    .unwrap_or_else(|| OracleError::fatal("resolver batch failed"));
-                drop(queue);
-                record_fault(error);
-                return Some(false);
+        match self.shared.store.get(key)? {
+            Entry::Answered(answer) => Some(answer),
+            Entry::InFlight => None,
+            Entry::Failed => {
+                let error = self.fault();
+                record_fault(error.unwrap_or_else(|| OracleError::fatal("resolver batch failed")));
+                Some(false)
             }
         }
-        None
     }
 
     /// Number of distinct `(query, text)` answers published so far.
@@ -319,37 +244,26 @@ impl ResolverPool {
         self.shared.store.len()
     }
 
-    /// Queues `keys` for background resolution.  Keys already answered,
-    /// queued, or in flight are coalesced away; the rest are enqueued in
-    /// order.  Blocks while the in-flight window is full (backpressure),
-    /// never while a backend call is running.
+    /// Queues `keys` for background resolution.  Keys this call cannot
+    /// claim in the store (already answered, queued, in flight or failed)
+    /// are coalesced away; the rest are enqueued in order.  Blocks while
+    /// the in-flight window is full (backpressure), never while a backend
+    /// call is running.
     pub fn submit(&self, keys: &[QueryKey<'_>]) {
         if keys.is_empty() {
             return;
         }
         let shared = &*self.shared;
-        shared.submitted.fetch_add(keys.len() as u64, Relaxed);
         let mut queued = 0usize;
         let mut queue = lock_queue(shared);
+        queue.stats.submitted += keys.len() as u64;
         for key in keys {
-            loop {
-                if shared.store.get(key).is_some()
-                    || queue.tracked.contains(key)
-                    || queue.failed.contains(key)
-                {
-                    shared.coalesced.fetch_add(1, Relaxed);
-                    break;
-                }
-                if queue.closed || queue.pending.len() + queue.in_flight < shared.in_flight_window {
-                    queue.tracked.insert(key);
-                    queue
-                        .pending
-                        .push((key.query.to_owned(), key.text.to_vec()));
-                    queued += 1;
-                    let depth = (queue.pending.len() + queue.in_flight) as u64;
-                    shared.high_water.fetch_max(depth, Relaxed);
-                    break;
-                }
+            if shared.store.claim(key).is_some() {
+                queue.stats.coalesced += 1;
+                continue;
+            }
+            while !queue.closed && queue.pending.len() + queue.in_flight >= shared.in_flight_window
+            {
                 // Window full: wake the workers (in case this submitter
                 // raced ahead of them) and wait for room.
                 shared.work_ready.notify_all();
@@ -358,6 +272,12 @@ impl ResolverPool {
                     .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
             }
+            queue
+                .pending
+                .push((key.query.to_owned(), key.text.to_vec()));
+            queued += 1;
+            let depth = (queue.pending.len() + queue.in_flight) as u64;
+            queue.stats.in_flight_high_water = queue.stats.in_flight_high_water.max(depth);
         }
         drop(queue);
         if queued > 0 {
@@ -368,16 +288,13 @@ impl ResolverPool {
     /// The current completion generation; bumped once per completed
     /// batch, successful or failed.
     pub fn generation(&self) -> u64 {
-        *lock_progress(&self.shared)
+        lock_queue(&self.shared).generation
     }
 
     /// The first backend failure this pool has seen, if any.  Failures
     /// are sticky: once a batch fails its keys stay failed for the
     /// pool's lifetime (see [`lookup`](ResolverPool::lookup)).
     pub fn fault(&self) -> Option<OracleError> {
-        if !self.shared.has_failures.load(Acquire) {
-            return None;
-        }
         lock_queue(&self.shared).error.clone()
     }
 
@@ -388,30 +305,30 @@ impl ResolverPool {
     /// milliseconds so a lost wakeup degrades to polling, never to a
     /// hang.
     pub fn wait_for_progress(&self, seen: u64) -> u64 {
-        let mut generation = lock_progress(&self.shared);
-        while *generation == seen {
+        let mut queue = lock_queue(&self.shared);
+        while queue.generation == seen {
             let (guard, timeout) = self
                 .shared
                 .progressed
-                .wait_timeout(generation, PROGRESS_POLL)
+                .wait_timeout(queue, PROGRESS_POLL)
                 .unwrap_or_else(PoisonError::into_inner);
-            generation = guard;
+            queue = guard;
             if timeout.timed_out() {
                 break;
             }
         }
-        *generation
+        queue.generation
     }
 
     /// Records that a line evaluation suspended on pending answers
     /// (called by the scan driver; counted once per suspension event).
     pub fn note_suspend(&self) {
-        self.shared.suspends.fetch_add(1, Relaxed);
+        lock_queue(&self.shared).stats.suspends += 1;
     }
 
     /// Records that a previously suspended line evaluation completed.
     pub fn note_resume(&self) {
-        self.shared.resumes.fetch_add(1, Relaxed);
+        lock_queue(&self.shared).stats.resumes += 1;
     }
 
     /// Number of lock stripes in the answer store.
@@ -421,19 +338,9 @@ impl ResolverPool {
 
     /// A snapshot of the resolver-plane counters.
     pub fn stats(&self) -> ResolverStats {
-        let shared = &*self.shared;
         ResolverStats {
-            submitted: shared.submitted.load(Relaxed),
-            coalesced: shared.coalesced.load(Relaxed),
-            batches: shared.batches.load(Relaxed),
-            backend_keys: shared.backend_keys.load(Relaxed),
-            in_flight_high_water: shared.high_water.load(Relaxed),
-            suspends: shared.suspends.load(Relaxed),
-            resumes: shared.resumes.load(Relaxed),
-            store_contended: shared.store.contended(),
-            failed_batches: shared.failed_batches.load(Relaxed),
-            failed_keys: shared.failed_keys.load(Relaxed),
-            dead_workers: shared.dead_workers.load(Relaxed),
+            store_contended: self.shared.store.contended(),
+            ..lock_queue(&self.shared).stats
         }
     }
 }
@@ -462,7 +369,7 @@ impl Drop for ResolverPool {
             // fault plane (dead_workers + the queue's sticky error) —
             // never a reason to panic whoever drops the pool.
             if worker.join().is_err() {
-                self.shared.dead_workers.fetch_add(1, Relaxed);
+                lock_queue(&self.shared).stats.dead_workers += 1;
             }
         }
     }
@@ -473,28 +380,20 @@ impl Drop for ResolverPool {
 /// backend does (the per-call plane, the DP baseline).
 impl Oracle for ResolverPool {
     fn holds(&self, query: &str, text: &[u8]) -> bool {
-        let key = QueryKey::new(query, text);
-        if let Some(answer) = self.lookup(&key) {
-            return answer;
-        }
-        // Snapshot *before* submitting so a completion racing ahead of
-        // the first wait is never missed.
-        let mut seen = self.generation();
-        self.submit(std::slice::from_ref(&key));
-        loop {
-            if let Some(answer) = self.lookup(&key) {
-                return answer;
-            }
-            seen = self.wait_for_progress(seen);
-        }
+        self.resolve_batch(&[QueryKey::new(query, text)])[0]
     }
 
     fn resolve_batch(&self, batch: &[QueryKey<'_>]) -> Vec<bool> {
+        let answered = || batch.iter().map(|key| self.lookup(key)).collect();
+        // Snapshot *before* submitting so a completion racing ahead of
+        // the first wait is never missed.
         let mut seen = self.generation();
+        if let Some(answers) = answered() {
+            return answers;
+        }
         self.submit(batch);
         loop {
-            let answers: Option<Vec<bool>> = batch.iter().map(|key| self.lookup(key)).collect();
-            if let Some(answers) = answers {
+            if let Some(answers) = answered() {
                 return answers;
             }
             seen = self.wait_for_progress(seen);
@@ -545,14 +444,12 @@ fn worker(shared: &PoolShared) {
         // collect any fault a retry adapter recorded on this worker
         // thread — placeholder answers must fail the batch, not publish.
         let outcome = catch_unwind(AssertUnwindSafe(|| shared.oracle.resolve_batch(&keys)));
-        shared.batches.fetch_add(1, Relaxed);
-        shared.backend_keys.fetch_add(keys.len() as u64, Relaxed);
         let failure = match outcome {
             Ok(answers) => match take_fault() {
                 Some(error) => Some(error),
                 None => {
                     for (key, &answer) in keys.iter().zip(&answers) {
-                        shared.store.insert(key, answer);
+                        shared.store.publish(key, answer);
                     }
                     None
                 }
@@ -568,53 +465,43 @@ fn worker(shared: &PoolShared) {
 
         {
             let mut queue = lock_queue(shared);
-            for (query, text) in &batch {
-                queue.tracked.remove(query, text);
-            }
             queue.in_flight = queue.in_flight.saturating_sub(batch.len());
+            queue.stats.batches += 1;
+            queue.stats.backend_keys += batch.len() as u64;
             if let Some(error) = failure {
-                for (query, text) in &batch {
-                    queue.failed.insert(&QueryKey::new(query, text));
+                // Under the queue lock, so a lookup that sees a failed
+                // key also sees the pool's error.
+                queue.error.get_or_insert(error);
+                for key in &keys {
+                    shared.store.fail(key);
                 }
-                if queue.error.is_none() {
-                    queue.error = Some(error);
-                }
-                shared.failed_batches.fetch_add(1, Relaxed);
-                shared.failed_keys.fetch_add(batch.len() as u64, Relaxed);
-                shared.has_failures.store(true, Release);
+                queue.stats.failed_batches += 1;
+                queue.stats.failed_keys += batch.len() as u64;
             }
+            queue.generation += 1;
         }
         shared.window_open.notify_all();
-        {
-            let mut generation = lock_progress(shared);
-            *generation += 1;
-        }
         shared.progressed.notify_all();
     }
 }
 
 /// Recovery when a worker dies outside the guarded backend call: every
-/// key it might have owned — everything tracked, queued or claimed —
+/// key it might have owned — every in-flight key, queued or claimed —
 /// fails, so no waiter blocks on an answer that will never come.
 fn worker_died(shared: &PoolShared) {
-    shared.dead_workers.fetch_add(1, Relaxed);
     {
         let mut queue = lock_queue(shared);
+        queue.stats.dead_workers += 1;
         queue.pending.clear();
-        let mut tracked = std::mem::take(&mut queue.tracked);
-        tracked.drain_into(&mut queue.failed);
         queue.in_flight = 0;
-        if queue.error.is_none() {
-            queue.error = Some(OracleError::fatal("resolver worker died unexpectedly"));
-        }
-        shared.has_failures.store(true, Release);
+        queue
+            .error
+            .get_or_insert_with(|| OracleError::fatal("resolver worker died unexpectedly"));
+        shared.store.fail_in_flight();
+        queue.generation += 1;
     }
     shared.window_open.notify_all();
     shared.work_ready.notify_all();
-    {
-        let mut generation = lock_progress(shared);
-        *generation += 1;
-    }
     shared.progressed.notify_all();
 }
 

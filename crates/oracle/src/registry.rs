@@ -56,9 +56,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use crate::batch::AnswerStore;
+use crate::batch::{Entry, ShardedAnswerStore};
 use crate::{Oracle, QueryKey, DEFAULT_QUESTION_COST};
 
 /// How long one key is expected to take on a driver, as an order of
@@ -520,7 +520,7 @@ fn builtin_lexicons() -> [(&'static str, &'static [&'static str]); 6] {
 pub struct TieredResolver {
     drivers: Vec<Box<dyn TierDriver>>,
     authority: Arc<dyn Oracle>,
-    memo: Option<Mutex<AnswerStore>>,
+    memo: Option<ShardedAnswerStore>,
     counters: Arc<TierCounters>,
     authority_cost: u32,
 }
@@ -566,7 +566,7 @@ impl TieredResolver {
         TieredResolver {
             drivers,
             authority,
-            memo: cache.then(|| Mutex::new(AnswerStore::default())),
+            memo: cache.then(ShardedAnswerStore::default),
             counters: TierCounters::new(labels),
             authority_cost: DEFAULT_QUESTION_COST,
         }
@@ -588,10 +588,6 @@ impl TieredResolver {
         self.drivers.len() + usize::from(self.memo.is_some())
     }
 
-    fn lock_memo(memo: &Mutex<AnswerStore>) -> std::sync::MutexGuard<'_, AnswerStore> {
-        memo.lock().expect("tier memo lock poisoned")
-    }
-
     /// Routes a batch through the tier stack, returning each key's answer
     /// and whether it may be memoized (answered by a stable tier with no
     /// fault pending is checked by the caller).
@@ -603,10 +599,9 @@ impl TieredResolver {
         let mut tier = 0;
 
         if let Some(memo) = &self.memo {
-            let memo = Self::lock_memo(memo);
             let mut hits = 0u64;
             for (answer, key) in answers.iter_mut().zip(batch) {
-                if let Some(known) = memo.get(key) {
+                if let Some(Entry::Answered(known)) = memo.get(key) {
                     *answer = Some(known);
                     hits += 1;
                 }
@@ -660,11 +655,10 @@ impl TieredResolver {
         // the sink does not say *which* key faulted.
         if let Some(memo) = &self.memo {
             if !crate::error::fault_pending() {
-                let mut memo = Self::lock_memo(memo);
                 for (i, key) in batch.iter().enumerate() {
                     if memoize[i] {
                         if let Some(answer) = answers[i] {
-                            memo.insert(key, answer);
+                            memo.publish(key, answer);
                         }
                     }
                 }
@@ -697,7 +691,7 @@ impl Oracle for TieredResolver {
         // authoritative question.
         if let Some(memo) = &self.memo {
             let key = QueryKey::new(query, text);
-            if Self::lock_memo(memo).get(&key).is_some() {
+            if memo.get(&key).is_some() {
                 return 0;
             }
         }

@@ -1,20 +1,17 @@
-//! Oracle combinators: instrumentation, latency simulation, and caching.
+//! Oracle combinators: instrumentation and latency simulation.
 //!
 //! The paper's prototype mediates all LLM access through a query cache
 //! (Assumption 2.4) and reports oracle-call counts, oracle time, and query
-//! lengths (Table 2).  The wrappers in this module reproduce that plumbing:
-//!
-//! * [`Instrumented`] counts calls / bytes / positives and (optionally)
-//!   injects a simulated per-call latency, accumulating the time spent
-//!   "inside the oracle";
-//! * [`CachingOracle`] memoizes `(query, text)` pairs, both to determinize
-//!   nondeterministic backends and to avoid paying for repeated queries.
+//! lengths (Table 2).  [`Instrumented`] reproduces the accounting: it
+//! counts calls / bytes / positives and (optionally) injects a simulated
+//! per-call latency, accumulating the time spent "inside the oracle".  The
+//! query cache is [`SharedSession`](crate::SharedSession), which memoizes
+//! `(query, text)` pairs, both to determinize nondeterministic backends
+//! and to avoid paying for repeated queries.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::batch::{AnswerStore, BatchPlan};
 use crate::stats::OracleStats;
 use crate::Oracle;
 
@@ -254,162 +251,6 @@ impl<O: Oracle> Oracle for Instrumented<O> {
     }
 }
 
-/// A memoizing wrapper: each distinct `(query, text)` pair is submitted to
-/// the underlying oracle at most once.
-///
-/// Besides saving cost, caching forcefully determinizes nondeterministic
-/// backends such as LLMs (Assumption 2.4 of the paper).
-///
-/// # Examples
-///
-/// ```
-/// use semre_oracle::{CachingOracle, Instrumented, Oracle, PredicateOracle};
-///
-/// let counted = Instrumented::new(PredicateOracle::new(|_, t: &[u8]| t.starts_with(b"a")));
-/// let cached = CachingOracle::new(counted);
-/// assert!(cached.holds("q", b"abc"));
-/// assert!(cached.holds("q", b"abc"));
-/// assert!(cached.holds("q", b"abc"));
-/// // Only the first call reached the inner oracle.
-/// assert_eq!(cached.inner().stats().calls, 1);
-/// assert_eq!(cached.hits(), 2);
-/// ```
-#[derive(Debug)]
-pub struct CachingOracle<O> {
-    inner: O,
-    cache: Mutex<AnswerStore>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    batches: AtomicU64,
-}
-
-impl<O: Oracle> CachingOracle<O> {
-    fn lock_cache(&self) -> std::sync::MutexGuard<'_, AnswerStore> {
-        self.cache.lock().expect("oracle cache lock poisoned")
-    }
-
-    /// Wraps `inner` with an initially empty cache.
-    pub fn new(inner: O) -> Self {
-        CachingOracle {
-            inner,
-            cache: Mutex::new(AnswerStore::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-        }
-    }
-
-    /// Number of batched round trips forwarded to the underlying oracle.
-    pub fn batches(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
-    }
-
-    /// Number of calls answered from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of calls forwarded to the underlying oracle.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of distinct `(query, text)` pairs currently cached.
-    pub fn len(&self) -> usize {
-        self.lock_cache().len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Clears the cache and resets the hit/miss counters.
-    pub fn clear(&self) {
-        self.lock_cache().clear();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.batches.store(0, Ordering::Relaxed);
-    }
-
-    /// A reference to the wrapped oracle.
-    pub fn inner(&self) -> &O {
-        &self.inner
-    }
-
-    /// Consumes the wrapper and returns the wrapped oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: Oracle> Oracle for CachingOracle<O> {
-    fn holds(&self, query: &str, text: &[u8]) -> bool {
-        let key = crate::QueryKey::new(query, text);
-        if let Some(answer) = self.lock_cache().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return answer;
-        }
-        // The inner call is made outside the lock so that a slow oracle
-        // does not serialize unrelated queries from other threads.
-        let answer = self.inner.holds(query, text);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Placeholder answers from a faulted backend are never cached
-        // (the fault-sink contract in the `error` module).
-        if !crate::error::fault_pending() {
-            self.lock_cache().insert(&key, answer);
-        }
-        answer
-    }
-
-    fn resolve_batch(&self, batch: &[crate::QueryKey<'_>]) -> Vec<bool> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-
-        let plan = {
-            // One lock acquisition for the whole classification.
-            let cache = self.lock_cache();
-            BatchPlan::classify(batch, |key| cache.get(key))
-        };
-        // Intra-batch duplicates count as hits: they are resolved by the
-        // same backend question and cost nothing extra.
-        self.hits.fetch_add(plan.hits(), Ordering::Relaxed);
-
-        // The inner batch is resolved outside the lock, as in `holds`.
-        let miss_answers = if plan.misses.is_empty() {
-            Vec::new()
-        } else {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            let answers = self.inner.resolve_batch(&plan.misses);
-            self.misses
-                .fetch_add(plan.misses.len() as u64, Ordering::Relaxed);
-            if !crate::error::fault_pending() {
-                let mut cache = self.lock_cache();
-                for (key, &answer) in plan.misses.iter().zip(&answers) {
-                    cache.insert(key, answer);
-                }
-            }
-            answers
-        };
-        plan.into_answers(miss_answers)
-    }
-
-    fn question_cost(&self, query: &str, text: &[u8]) -> u32 {
-        // A cached answer is free; everything else costs whatever the
-        // wrapped backend would charge.
-        let key = crate::QueryKey::new(query, text);
-        if self.lock_cache().get(&key).is_some() {
-            return 0;
-        }
-        self.inner.question_cost(query, text)
-    }
-
-    fn describe(&self) -> String {
-        format!("cached({})", self.inner.describe())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,37 +310,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_deduplicates_and_reports() {
-        let counted = Instrumented::new(PredicateOracle::new(|_, t: &[u8]| t.len() % 2 == 0));
-        let cached = CachingOracle::new(counted);
-        for _ in 0..5 {
-            assert!(cached.holds("q", b"ab"));
-            assert!(!cached.holds("q", b"abc"));
-        }
-        assert_eq!(cached.inner().stats().calls, 2);
-        assert_eq!(cached.hits(), 8);
-        assert_eq!(cached.misses(), 2);
-        assert_eq!(cached.len(), 2);
-        assert!(!cached.is_empty());
-        cached.clear();
-        assert!(cached.is_empty());
-        assert_eq!(cached.hits(), 0);
-    }
-
-    #[test]
-    fn cache_distinguishes_queries_and_texts() {
-        let cached = CachingOracle::new(PredicateOracle::new(|q: &str, _: &[u8]| q == "a"));
-        assert!(cached.holds("a", b"x"));
-        assert!(!cached.holds("b", b"x"));
-        assert!(cached.holds("a", b"y"));
-        assert_eq!(cached.len(), 3);
-    }
-
-    #[test]
     fn describe_mentions_wrappers() {
-        let o = CachingOracle::new(Instrumented::new(PredicateOracle::new(|_, _| true)));
+        let o = crate::SharedSession::new(std::sync::Arc::new(Instrumented::new(
+            PredicateOracle::new(|_, _| true),
+        )));
         let d = o.describe();
-        assert!(d.contains("cached"));
+        assert!(d.contains("shared-session"));
         assert!(d.contains("instrumented"));
     }
 
@@ -507,6 +323,6 @@ mod tests {
     fn wrappers_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Instrumented<crate::simple::SetOracle>>();
-        assert_send_sync::<CachingOracle<crate::simple::SetOracle>>();
+        assert_send_sync::<crate::SharedSession>();
     }
 }

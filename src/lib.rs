@@ -52,8 +52,9 @@
 //!
 //! * [`syntax`] — the SemRE AST, parser, printer, and structural analyses;
 //! * [`oracle`] — the [`Oracle`] trait, the batched query plane
-//!   ([`BatchOracle`], [`QueryLedger`], [`BatchSession`]), caching /
-//!   instrumentation wrappers, and a library of concrete oracles;
+//!   ([`BatchOracle`], [`QueryLedger`], [`BatchSession`]), the
+//!   single-flight [`SharedSession`] memo, instrumentation, and a library
+//!   of concrete oracles;
 //! * [`automata`] — semantic NFAs, the Thompson construction, and the
 //!   ε-feasibility closure;
 //! * [`core`] — the query-graph matcher ([`Matcher`]), its unanchored
@@ -93,7 +94,7 @@ pub use semre_workloads as workloads;
 pub use semre_core::{DpMatcher, EvalReport, Matcher, MatcherConfig, SearchKind, SuspendedMatch};
 pub use semre_oracle::{
     clear_fault, fault_pending, record_fault, take_fault, BatchOracle, BatchSession, BatchStats,
-    CachingOracle, ConstOracle, Instrumented, LatencyModel, Oracle, OracleError, OracleErrorKind,
+    ConstOracle, Instrumented, LatencyModel, Oracle, OracleError, OracleErrorKind,
     PalindromeOracle, PersistConfig, PersistentAnswerStore, PredicateOracle, QueryKey, QueryLedger,
     ReplayReport, ResolverPool, ResolverStats, RetryCounters, RetryOracle, RetryPolicy, RetryStats,
     ScanControl, ScanInterrupt, SetOracle, SharedSession, SimLlmOracle, TableOracle, TryOracle,

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use semre::{
-    CachingOracle, Instrumented, LatencyModel, MatcherConfig, Oracle, SemRegex, SemRegexBuilder,
+    Instrumented, LatencyModel, MatcherConfig, Oracle, SemRegex, SemRegexBuilder, SharedSession,
     SimLlmOracle,
 };
 use semre_grep::{scan, scan_lines, ScanOptions};
@@ -73,7 +73,7 @@ fn caching_reduces_oracle_traffic_without_changing_answers() {
         .collect();
 
     let backend = Arc::new(Instrumented::new(Arc::clone(&spec.oracle)));
-    let cached_stack = Arc::new(CachingOracle::new(backend.clone()));
+    let cached_stack = Arc::new(SharedSession::new(backend.clone()));
     let cached = SemRegexBuilder::new()
         .per_call()
         .build_semre_shared(spec.semre.clone(), cached_stack.clone())
@@ -91,7 +91,7 @@ fn caching_reduces_oracle_traffic_without_changing_answers() {
         backend.stats().calls,
         raw.stats().calls
     );
-    assert!(cached_stack.hits() > 0);
+    assert!(cached_stack.stats().keys_deduped > 0);
 }
 
 #[test]
@@ -189,10 +189,10 @@ fn skeleton_prefilter_spares_the_oracle_entirely_on_clean_corpora() {
 fn facade_reexports_are_usable_together() {
     // Build an oracle stack exactly like the paper's LLM setup and drive it
     // through the facade's re-exports only.
-    let stack = CachingOracle::new(Instrumented::with_latency(
+    let stack = SharedSession::new(Arc::new(Instrumented::with_latency(
         SimLlmOracle::new(),
         LatencyModel::llm(),
-    ));
+    )));
     assert!(stack.holds("Medicine name", b"cialis"));
     let r = semre::parse("(?<Medicine name>: [a-z]+)").unwrap();
     assert!(semre::skeleton(&r).is_classical());

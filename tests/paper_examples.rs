@@ -157,7 +157,7 @@ fn assumption_2_4_cache_determinizes() {
             self.0.fetch_add(1, Ordering::Relaxed) % 2 == 0
         }
     }
-    let cached = semre::CachingOracle::new(Flaky(AtomicU64::new(0)));
+    let cached = semre::SharedSession::new(std::sync::Arc::new(Flaky(AtomicU64::new(0))));
     let matcher = Matcher::new(semre::parse("(?<q>: abc)").unwrap(), &cached);
     let first = matcher.is_match(b"abc");
     for _ in 0..5 {
