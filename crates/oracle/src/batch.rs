@@ -1144,15 +1144,6 @@ mod tests {
         assert_eq!(shared.len(), 2);
         assert!(!shared.is_empty());
         assert!(shared.describe().contains("shared-session"));
-
-        // Keys differ by query and by text.
-        let by_query =
-            SharedSession::new(Arc::new(PredicateOracle::new(|q: &str, _: &[u8]| q == "a")));
-        assert!(by_query.holds("a", b"x"));
-        assert!(!by_query.holds("b", b"x"));
-        assert!(by_query.holds("a", b"y"));
-        assert_eq!(by_query.len(), 3);
-        assert_eq!(by_query.stats().keys_deduped, 0);
     }
 
     #[test]

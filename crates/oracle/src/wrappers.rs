@@ -310,6 +310,38 @@ mod tests {
     }
 
     #[test]
+    fn cache_deduplicates_and_reports() {
+        let counted = std::sync::Arc::new(Instrumented::new(PredicateOracle::new(
+            |_, t: &[u8]| t.len() % 2 == 0,
+        )));
+        let cached = crate::SharedSession::new(counted.clone());
+        assert!(cached.is_empty());
+        for _ in 0..5 {
+            assert!(cached.holds("q", b"ab"));
+            assert!(!cached.holds("q", b"abc"));
+        }
+        assert_eq!(counted.stats().calls, 2);
+        let stats = cached.stats();
+        assert_eq!(stats.keys_submitted, 10);
+        assert_eq!(stats.keys_deduped, 8);
+        assert_eq!(stats.backend_keys, 2);
+        assert_eq!(cached.len(), 2);
+        assert!(!cached.is_empty());
+    }
+
+    #[test]
+    fn cache_distinguishes_queries_and_texts() {
+        let cached = crate::SharedSession::new(std::sync::Arc::new(PredicateOracle::new(
+            |q: &str, _: &[u8]| q == "a",
+        )));
+        assert!(cached.holds("a", b"x"));
+        assert!(!cached.holds("b", b"x"));
+        assert!(cached.holds("a", b"y"));
+        assert_eq!(cached.len(), 3);
+        assert_eq!(cached.stats().keys_deduped, 0);
+    }
+
+    #[test]
     fn describe_mentions_wrappers() {
         let o = crate::SharedSession::new(std::sync::Arc::new(Instrumented::new(
             PredicateOracle::new(|_, _| true),
