@@ -1500,16 +1500,25 @@ fn toggle_json(toggle: &Toggle, fast_key: &str, reference_key: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The quick measurement the tests below check, taken once: it is the
+    /// slow part of this suite, and the tests only read it.
+    fn quick_trajectory() -> &'static Trajectory {
+        static TRAJECTORY: OnceLock<Trajectory> = OnceLock::new();
+        TRAJECTORY.get_or_init(|| {
+            measure(&TrajectoryConfig {
+                lines_per_bench: 25,
+                find_lines: 5,
+                repeat: 1,
+                ..TrajectoryConfig::quick()
+            })
+        })
+    }
 
     #[test]
     fn quick_trajectory_is_equivalent_and_serializes() {
-        let config = TrajectoryConfig {
-            lines_per_bench: 25,
-            find_lines: 5,
-            repeat: 1,
-            ..TrajectoryConfig::quick()
-        };
-        let trajectory = measure(&config);
+        let trajectory = quick_trajectory();
         assert_eq!(trajectory.benches.len(), 9);
         assert!(
             trajectory.all_equivalent(),
@@ -1587,7 +1596,7 @@ mod tests {
             "the acceptance floor must hold even on the quick corpus: {:?}",
             trajectory.tiered_cost
         );
-        let json = to_json(&trajectory);
+        let json = to_json(trajectory);
         assert!(json.contains("\"artifact\": \"BENCH_PR10\""));
         assert!(json.contains("\"skewed_tree\""));
         assert!(json.contains("skewed_tree_speedup"));
@@ -1625,13 +1634,7 @@ mod tests {
 
     #[test]
     fn floors_flag_regressions_and_pass_sane_numbers() {
-        let config = TrajectoryConfig {
-            lines_per_bench: 25,
-            find_lines: 5,
-            repeat: 1,
-            ..TrajectoryConfig::quick()
-        };
-        let trajectory = measure(&config);
+        let trajectory = quick_trajectory();
         // Impossible floors must be reported as violations.
         let impossible = Floors {
             prefilter_speedup: 1e9,

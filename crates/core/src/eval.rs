@@ -246,10 +246,10 @@ fn loq_of<'b>(topo: &GadgetTopology, loq: &'b LoqTable, o: OpenRef) -> Option<&'
 }
 
 /// Reusable buffers of one evaluation: the per-position frontiers, the
-/// flattened co-reachability bitmap, the LOQ arena, and the collect-phase
-/// cache.  A [`ScratchPool`] hands the same buffers to successive
-/// evaluations, so the steady state of a scan performs no per-line (let
-/// alone per-byte) frontier allocation.
+/// packed co-reachability bitmap (plus its one-position staging row), the
+/// LOQ arena, and the collect-phase cache.  A [`ScratchPool`] hands the
+/// same buffers to successive evaluations, so the steady state of a scan
+/// performs no per-line (let alone per-byte) frontier allocation.
 #[derive(Debug, Default)]
 pub(crate) struct EvalScratch {
     layer1: Layer,
@@ -257,9 +257,13 @@ pub(crate) struct EvalScratch {
     layer3: Layer,
     prev3: Layer,
     close_cache: Vec<Option<CachedClose>>,
-    /// Co-reachability bits, `((pos - 1) * 3 + (layer - 1)) * states +
-    /// state` — one flat allocation instead of `3(n + 1)` nested `Vec`s.
-    coreach: Vec<bool>,
+    /// Co-reachability bits, bit `((pos - 1) * 3 + (layer - 1)) * states +
+    /// state`, 64 to a word — one flat allocation of `3·states·(|w| + 1)`
+    /// bits instead of `3(|w| + 1)` nested `Vec`s.
+    coreach: Vec<u64>,
+    /// One position of the backward pass: layers 1–3, then the next
+    /// position's layer 1.
+    coreach_row: Vec<bool>,
     loq: LoqTable,
     /// Staging buffer for backref merges at open vertices.
     refs_buf: Vec<OpenRef>,
@@ -305,25 +309,31 @@ impl std::fmt::Debug for ScratchPool {
 /// of an oracle question in the query graph.
 type LedgerKey = (u32, u32, u32);
 
-/// The saved state of a membership evaluation suspended mid-line on the
-/// overlapped resolver plane: the reusable buffers (whose `prev3` frontier,
-/// LOQ arena, and co-reachability bitmap hold everything positions before
-/// the suspension computed), the question ledger (whose pending slots are
-/// exactly the keys submitted to the resolver pool), and the position to
-/// re-run.
+/// The saved state of a membership evaluation suspended mid-line on
+/// answers its session does not have yet: the state positions before the
+/// suspension computed (the alive states of the `prev3` frontier with
+/// their backreference sets, the LOQ arena and the packed co-reachability
+/// bitmap), the question ledger (whose pending slots are exactly the keys
+/// the session is waiting on), and the position and apply-phase place to
+/// continue at.  The other buffers go back to the [`ScratchPool`] while
+/// the line is parked, and the kept ones are moved, never copied, so a
+/// park or a resume costs `O(states)` whatever the line length.
 ///
-/// Resuming re-enters the position loop at [`position`](Self::position)
-/// instead of replaying the line from its first byte — that is what makes a
-/// parked line cheap to resume: a line that suspends at `k` flush points
-/// costs `O(|w|)` total evaluator work across all resumptions, not
-/// `O(k · |w|)`.
+/// Resuming re-enters the position loop at [`position`](Self::position),
+/// at the close vertex that suspended, instead of replaying the line from
+/// its first byte — that is what makes a parked line cheap to resume: a
+/// line that suspends at `k` flush points costs `O(|w|)` total evaluator
+/// work across all resumptions, not `O(k · |w|)`.
 #[derive(Debug)]
 pub struct SuspendedEval {
-    scratch: EvalScratch,
+    frontier: Vec<(StateId, Vec<OpenRef>)>,
+    loq: LoqTable,
+    coreach: Vec<u64>,
     ledger: QueryLedger<LedgerKey>,
     report: EvalReport,
     best: Option<(usize, usize)>,
     pos: usize,
+    apply: Option<ApplyState>,
     search: Option<SearchKind>,
 }
 
@@ -335,22 +345,6 @@ impl SuspendedEval {
     pub fn position(&self) -> usize {
         self.pos
     }
-}
-
-/// What a resumable evaluation step produced: a finished report (plus the
-/// scratch buffers, returned for pooling) or a parked evaluation waiting on
-/// in-flight oracle answers.
-// The size skew is deliberate: `EvalOutcome` is transient (matched on
-// immediately, never stored), and boxing the scratch here would put a heap
-// allocation on the hot synchronous path that the scratch pool exists to
-// avoid — suspension, the rare case, already boxes.
-#[allow(clippy::large_enum_variant)]
-pub(crate) enum EvalOutcome {
-    /// The evaluation ran to a verdict.
-    Done(EvalReport, EvalScratch),
-    /// The evaluation suspended; resume with [`resume_evaluation`] once the
-    /// resolver pool has made progress.
-    Suspended(Box<SuspendedEval>),
 }
 
 /// Interned query names of an SNFA: the id carried by each open/close
@@ -406,10 +400,9 @@ struct Plane<'a, 's, 'o> {
 }
 
 /// Resolves every pending ledger key through the session in one batch.
-/// Returns `false` when the session is overlapped and some answers are
-/// still in flight (the pending keys have been submitted to the resolver
-/// pool; the evaluation must suspend).  Synchronous sessions always
-/// return `true`.
+/// Returns `false` when the session does not have every answer yet (a
+/// suspending session has queued or submitted the missing keys; the
+/// evaluation must suspend).  Inline sessions always return `true`.
 fn flush_plane(plane: &mut Plane<'_, '_, '_>, input: &[u8]) -> bool {
     let Plane {
         ledger,
@@ -458,6 +451,7 @@ pub(crate) fn evaluate_with_scratch(
         search: None,
         best: None,
         suspended_at: None,
+        apply: None,
     }
     .run(scratch)
 }
@@ -505,6 +499,7 @@ pub(crate) fn evaluate_search_with_scratch(
         search: Some(kind),
         best: None,
         suspended_at: None,
+        apply: None,
     }
     .run(scratch)
 }
@@ -543,6 +538,7 @@ pub(crate) fn evaluate_search_in_session<'a>(
         search: Some(kind),
         best: None,
         suspended_at: None,
+        apply: None,
     }
     .run(scratch)
 }
@@ -579,71 +575,64 @@ pub(crate) fn evaluate_in_session<'a>(
         search: None,
         best: None,
         suspended_at: None,
+        apply: None,
     }
     .run(scratch)
 }
 
-/// The resumable flavour of [`evaluate_in_session`]: on an overlapped
-/// session, an evaluation whose answers are still in flight returns
-/// [`EvalOutcome::Suspended`] with everything needed to continue from the
-/// suspended position.  Takes `scratch` by value because a suspension
-/// keeps the buffers parked with the line.
-pub(crate) fn try_evaluate_resumable<'a>(
+/// The resumable flavour of [`evaluate_in_session`]: evaluates `input`
+/// afresh, or, given `parked`, continues that suspended evaluation from
+/// the position that parked it (moving its saved state into `scratch`).
+/// On a suspending session, an evaluation whose answers are not all there
+/// yet returns `Err` with everything needed to continue from the suspended
+/// position; the buffers it does not keep stay in `scratch`.  A parked
+/// evaluation must be continued with the `snfa` / `topo` / `table` /
+/// `input` it started with and the session it suspended on — the parked
+/// state is only meaningful against them.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn evaluate_resumable<'a>(
     snfa: &'a Snfa,
     topo: &'a GadgetTopology,
     table: &'a QueryTable,
     input: &'a [u8],
     options: EvalOptions,
     session: &mut BatchSession<'_>,
-    scratch: EvalScratch,
-) -> EvalOutcome {
-    let oracle = session.backend();
-    let evaluator = Evaluator {
-        snfa,
-        topo,
-        input,
-        oracle,
-        options,
-        report: EvalReport {
-            positions: input.len() + 1,
-            ..EvalReport::default()
-        },
-        plane: Some(Plane {
-            ledger: QueryLedger::new(),
-            session,
-            table,
-        }),
-        search: None,
-        best: None,
-        suspended_at: None,
+    scratch: &mut EvalScratch,
+    parked: Option<Box<SuspendedEval>>,
+) -> Result<EvalReport, Box<SuspendedEval>> {
+    let (ledger, report, best, search, resume) = match parked {
+        None => {
+            let report = EvalReport {
+                positions: input.len() + 1,
+                ..EvalReport::default()
+            };
+            (QueryLedger::new(), report, None, None, None)
+        }
+        Some(parked) => {
+            let SuspendedEval {
+                frontier,
+                loq,
+                coreach,
+                ledger,
+                report,
+                best,
+                pos,
+                apply,
+                search,
+            } = *parked;
+            let prev3 = &mut scratch.prev3;
+            prev3.ensure(snfa.num_states());
+            for (state, refs) in frontier {
+                prev3.alive[state] = true;
+                prev3.backref[state] = refs;
+            }
+            scratch.loq = loq;
+            scratch.coreach = coreach;
+            (ledger, report, best, search, Some((pos, apply)))
+        }
     };
-    run_resumable(evaluator, scratch, None)
-}
-
-/// Continues a [suspended](EvalOutcome::Suspended) evaluation from the
-/// position that parked it.  `snfa` / `topo` / `table` / `input` must be
-/// the ones the evaluation started with, and `session` must resolve
-/// through the same resolver pool — the parked state is only meaningful
-/// against them.
-pub(crate) fn resume_evaluation<'a>(
-    snfa: &'a Snfa,
-    topo: &'a GadgetTopology,
-    table: &'a QueryTable,
-    input: &'a [u8],
-    options: EvalOptions,
-    session: &mut BatchSession<'_>,
-    suspended: Box<SuspendedEval>,
-) -> EvalOutcome {
-    let SuspendedEval {
-        scratch,
-        ledger,
-        report,
-        best,
-        pos,
-        search,
-    } = *suspended;
     let oracle = session.backend();
-    let evaluator = Evaluator {
+    let mut evaluator = Evaluator {
         snfa,
         topo,
         input,
@@ -658,30 +647,34 @@ pub(crate) fn resume_evaluation<'a>(
         search,
         best,
         suspended_at: None,
+        apply: None,
     };
-    run_resumable(evaluator, scratch, Some(pos))
-}
-
-/// Runs (or continues) an evaluation and packages the result: the
-/// completion half mirrors [`Evaluator::run`], the suspension half moves
-/// the ledger and buffers into a [`SuspendedEval`].
-fn run_resumable(
-    mut evaluator: Evaluator<'_, '_, '_>,
-    mut scratch: EvalScratch,
-    resume_at: Option<usize>,
-) -> EvalOutcome {
-    let mut report = evaluator.run_inner(&mut scratch, resume_at);
+    let resume_at = resume.map(|(pos, apply)| {
+        evaluator.apply = apply;
+        pos
+    });
+    // The completion half mirrors [`Evaluator::run`]; the suspension half
+    // moves the ledger and the kept buffers into a [`SuspendedEval`].
+    let mut report = evaluator.run_inner(scratch, resume_at);
     if let Some(pos) = evaluator.suspended_at {
         let plane = evaluator
             .plane
             .take()
             .expect("resumable evaluations run on the batched plane");
-        return EvalOutcome::Suspended(Box::new(SuspendedEval {
-            scratch,
+        let prev3 = &mut scratch.prev3;
+        let frontier = (0..prev3.alive.len())
+            .filter(|&state| prev3.alive[state])
+            .map(|state| (state, std::mem::take(&mut prev3.backref[state])))
+            .collect();
+        return Err(Box::new(SuspendedEval {
+            frontier,
+            loq: std::mem::take(&mut scratch.loq),
+            coreach: std::mem::take(&mut scratch.coreach),
             ledger: plane.ledger,
             report: evaluator.report,
             best: evaluator.best,
             pos,
+            apply: evaluator.apply,
             search: evaluator.search,
         }));
     }
@@ -694,7 +687,7 @@ fn run_resumable(
         report.batches = plane.ledger.stats().batches;
     }
     report.keys_deduped = report.oracle_calls.saturating_sub(report.unique_keys);
-    EvalOutcome::Done(report, scratch)
+    Ok(report)
 }
 
 struct Evaluator<'a, 's, 'o> {
@@ -711,20 +704,59 @@ struct Evaluator<'a, 's, 'o> {
     search: Option<SearchKind>,
     /// Best span found so far by a search evaluation.
     best: Option<(usize, usize)>,
-    /// The position at which the evaluation suspended on in-flight oracle
-    /// answers (overlapped sessions only), so the resumable path knows
-    /// where to re-enter the position loop.
+    /// The position at which the evaluation suspended on answers its
+    /// session does not have yet (suspending sessions only), so the
+    /// resumable path knows where to re-enter the position loop.
     suspended_at: Option<usize>,
+    /// Where in the apply phase of the resumed position to continue — or,
+    /// after a suspension there, where it stopped.
+    apply: Option<ApplyState>,
+}
+
+/// An apply phase stopped at a straggler question: the close-order index
+/// of the vertex to re-evaluate, layer 1 as the vertices before it left it
+/// (its alive states with their backreference sets), and the collect
+/// phase's cached candidates of the vertices still to come.  Resuming here
+/// instead of re-running the position keeps a line with `k` stragglers at
+/// one position from paying for that position `k` times.
+#[derive(Debug)]
+struct ApplyState {
+    next: usize,
+    layer1: Vec<(StateId, Vec<OpenRef>)>,
+    cached: Vec<(StateId, CachedClose)>,
+}
+
+impl ApplyState {
+    /// Moves what the apply phase needs to continue at `close_order[next]`
+    /// out of the scratch buffers.
+    fn park(
+        next: usize,
+        layer1: &mut Layer,
+        close_cache: &mut [Option<CachedClose>],
+        close_order: &[StateId],
+    ) -> Self {
+        ApplyState {
+            next,
+            layer1: (0..layer1.alive.len())
+                .filter(|&s| layer1.alive[s])
+                .map(|s| (s, std::mem::take(&mut layer1.backref[s])))
+                .collect(),
+            cached: close_order[next..]
+                .iter()
+                .filter_map(|&c| Some((c, close_cache[c].take()?)))
+                .collect(),
+        }
+    }
 }
 
 impl Evaluator<'_, '_, '_> {
     fn run(mut self, scratch: &mut EvalScratch) -> EvalReport {
         let mut report = self.run_inner(scratch, None);
         // A suspended report has no verdict; only the resumable entry
-        // points may run on a session wired to a resolver pool.
+        // points may run on a suspending session.
         assert!(
             self.suspended_at.is_none(),
-            "an overlapped session suspended a non-resumable evaluation"
+            "a suspending session suspended a non-resumable evaluation"
         );
         if self.search.is_some() {
             report.span = self.best;
@@ -760,6 +792,7 @@ impl Evaluator<'_, '_, '_> {
             prev3,
             close_cache,
             coreach,
+            coreach_row,
             loq,
             refs_buf,
         } = scratch;
@@ -773,12 +806,13 @@ impl Evaluator<'_, '_, '_> {
             prev3.ensure(states);
             loq.reset(n + 2, self.topo.num_open_states());
             if prune {
-                self.co_reachability(coreach);
+                self.co_reachability(coreach, coreach_row);
             }
         }
-        let cr: &[bool] = coreach;
+        let cr: &[u64] = coreach;
         let allowed = move |layer: usize, state: StateId, pos: usize| -> bool {
-            !prune || cr[((pos - 1) * 3 + (layer - 1)) * states + state]
+            let bit = ((pos - 1) * 3 + (layer - 1)) * states + state;
+            !prune || cr[bit / 64] & (1 << (bit % 64)) != 0
         };
 
         // If even the start vertex cannot reach end, the skeleton does not
@@ -790,6 +824,15 @@ impl Evaluator<'_, '_, '_> {
         }
 
         for pos in resume_at.unwrap_or(1)..=n + 1 {
+            // Every ledger key names this position as its close position,
+            // so the keys of earlier positions can never be enlisted
+            // again: keep only this position's (a resumed position keeps
+            // the keys its suspended attempt enlisted).
+            if resume_at != Some(pos) {
+                if let Some(plane) = &mut self.plane {
+                    plane.ledger.forget();
+                }
+            }
             // Suspensions abandon the position mid-phase and the resumption
             // re-runs it from its first layer, re-asking what the aborted
             // attempt already read from the ledger — so roll the logical
@@ -799,67 +842,93 @@ impl Evaluator<'_, '_, '_> {
             layer1.clear();
             layer2.clear();
             layer3.clear();
-
-            // ---- Layer 1: character step (targets are always blank) -----
-            if pos == 1 {
-                if self.search.is_none() {
-                    layer1.alive[self.snfa.start()] = true;
-                }
-            } else {
-                let byte = self.input[pos - 2];
-                for s in 0..states {
-                    if !prev3.alive[s] {
-                        continue;
+            let apply_from = match self.apply.take() {
+                Some(state) if resume_at == Some(pos) => {
+                    for (state_id, refs) in state.layer1 {
+                        layer1.alive[state_id] = true;
+                        layer1.backref[state_id] = refs;
                     }
-                    for &(class, t) in self.snfa.char_out(s) {
-                        if !class.contains(byte) || !allowed(1, t, pos) {
+                    for (state_id, cached) in state.cached {
+                        close_cache[state_id] = Some(cached);
+                    }
+                    Some(state.next)
+                }
+                _ => None,
+            };
+
+            // A suspension in the apply phase resumes there, with layer 1
+            // and the collect phase's cache as it left them.
+            if apply_from.is_none() {
+                // ---- Layer 1: character step (targets are always blank) -----
+                if pos == 1 {
+                    if self.search.is_none() {
+                        layer1.alive[self.snfa.start()] = true;
+                    }
+                } else {
+                    let byte = self.input[pos - 2];
+                    for s in 0..states {
+                        if !prev3.alive[s] {
                             continue;
                         }
-                        layer1.alive[t] = true;
-                        merge_refs(&mut layer1.backref[t], &prev3.backref[s]);
+                        for &(class, t) in self.snfa.char_out(s) {
+                            if !class.contains(byte) || !allowed(1, t, pos) {
+                                continue;
+                            }
+                            layer1.alive[t] = true;
+                            merge_refs(&mut layer1.backref[t], &prev3.backref[s]);
+                        }
                     }
                 }
-            }
 
-            // ---- Search seeds: the implicit `.*` prefix ------------------
-            // Every position seeds the start vertex, tagged with a
-            // pseudo-backreference recording the candidate span start, so
-            // one pass answers all start positions.  Seeds that can no
-            // longer improve on the best span are suppressed, sparing their
-            // oracle questions.
-            if let Some(kind) = self.search {
-                let seed_index = pos - 1;
-                let useful = match kind {
-                    SearchKind::Leftmost => self.best.map_or(true, |(s, _)| seed_index < s),
-                    SearchKind::EarliestEnd => true,
-                };
-                let start = self.snfa.start();
-                if useful && allowed(1, start, pos) {
-                    layer1.alive[start] = true;
-                    merge_refs(&mut layer1.backref[start], &[open_ref(SEED_STATE, pos)]);
+                // ---- Search seeds: the implicit `.*` prefix ------------------
+                // Every position seeds the start vertex, tagged with a
+                // pseudo-backreference recording the candidate span start, so
+                // one pass answers all start positions.  Seeds that can no
+                // longer improve on the best span are suppressed, sparing their
+                // oracle questions.
+                if let Some(kind) = self.search {
+                    let seed_index = pos - 1;
+                    let useful = match kind {
+                        SearchKind::Leftmost => self.best.map_or(true, |(s, _)| seed_index < s),
+                        SearchKind::EarliestEnd => true,
+                    };
+                    let start = self.snfa.start();
+                    if useful && allowed(1, start, pos) {
+                        layer1.alive[start] = true;
+                        merge_refs(&mut layer1.backref[start], &[open_ref(SEED_STATE, pos)]);
+                    }
                 }
-            }
 
-            // ---- Layer 1: close edges ------------------------------------
-            // Collect phase: enlist every oracle question this position is
-            // certain to need and resolve them in one batch.
-            if self.plane.is_some()
-                && !self.collect_close_queries(pos, layer1, &allowed, close_cache, loq)
-            {
-                self.report.oracle_calls = calls_at_pos;
-                self.suspended_at = Some(pos);
-                return self.report;
+                // ---- Layer 1: close edges ------------------------------------
+                // Collect phase: enlist every oracle question this position is
+                // certain to need and resolve them in one batch.
+                if self.plane.is_some()
+                    && !self.collect_close_queries(pos, layer1, &allowed, close_cache, loq)
+                {
+                    // Resume at the first close vertex: its question
+                    // flushes the pending batch again.
+                    self.report.oracle_calls = calls_at_pos;
+                    self.suspended_at = Some(pos);
+                    let close_order = self.topo.close_order();
+                    self.apply = Some(ApplyState::park(0, layer1, close_cache, close_order));
+                    return self.report;
+                }
             }
             // Apply phase: the Fig. 9 rules, in topological order, reading
             // answers from the ledger (or the oracle, on the per-call
             // plane).
-            for &t in self.topo.close_order() {
+            let close_order = self.topo.close_order();
+            for (next, &t) in close_order.iter().enumerate().skip(apply_from.unwrap_or(0)) {
                 if !allowed(1, t, pos) {
                     continue;
                 }
+                let calls_at_vertex = self.report.oracle_calls;
                 if !self.eval_close_vertex(t, pos, layer1, close_cache, loq) {
-                    self.report.oracle_calls = calls_at_pos;
+                    // Resume at this vertex: only its own questions are
+                    // asked again.
+                    self.report.oracle_calls = calls_at_vertex;
                     self.suspended_at = Some(pos);
+                    self.apply = Some(ApplyState::park(next, layer1, close_cache, close_order));
                     return self.report;
                 }
             }
@@ -1030,9 +1099,9 @@ impl Evaluator<'_, '_, '_> {
     /// Anything else is left to the apply phase, which resolves stragglers
     /// through the same ledger.
     ///
-    /// Returns `false` when the flush suspended on the overlapped plane
-    /// (pending keys are already with the resolver pool; the caller
-    /// abandons this evaluation and replays it later).
+    /// Returns `false` when the flush suspended on a suspending session
+    /// (the session has queued or submitted the pending keys; the caller
+    /// parks this evaluation and resumes it at this position later).
     fn collect_close_queries<F>(
         &mut self,
         pos: usize,
@@ -1098,9 +1167,9 @@ impl Evaluator<'_, '_, '_> {
     /// queries for the opens recorded in its predecessors' backreference
     /// sets (rules M, Ac, Bc of Fig. 9).
     ///
-    /// Returns `false` when a straggler question suspended on the
-    /// overlapped plane; the half-updated frontier is then irrelevant
-    /// because the caller abandons the whole evaluation.
+    /// Returns `false` when a straggler question suspended on a
+    /// suspending session; the half-updated frontier is then irrelevant
+    /// because the resumption re-runs the whole position.
     fn eval_close_vertex(
         &mut self,
         t: StateId,
@@ -1129,40 +1198,48 @@ impl Evaluator<'_, '_, '_> {
             }
         };
 
-        // Opens that carry backreferences of their own (nested queries) must
-        // all be resolved; opens without may be short-circuited.
-        let (with_loq, without_loq): (Vec<_>, Vec<_>) =
-            groups.into_iter().partition(|&(_, has_loq)| has_loq);
-
         // Reuse the (empty) backref buffer already sitting in the frontier
         // slot instead of allocating a fresh one per close vertex.
         let mut matched_backrefs = std::mem::take(&mut layer1.backref[t]);
         matched_backrefs.clear();
         let mut alive = false;
+        let mut suspended = false;
 
-        for &(open_pos, _) in &with_loq {
-            let Some(answer) = self.ask_oracle(t, query, open_pos, pos) else {
-                return false;
-            };
-            if answer {
-                alive = true;
-                for &o in candidates.iter().filter(|&&o| open_ref_pos(o) == open_pos) {
-                    if let Some(refs) = loq_of(topo, loq, o) {
-                        merge_refs(&mut matched_backrefs, refs);
+        // Opens that carry backreferences of their own (nested queries) must
+        // all be resolved; opens without may be short-circuited.
+        for &(open_pos, _) in groups.iter().filter(|&&(_, has_loq)| has_loq) {
+            match self.ask_oracle(t, query, open_pos, pos) {
+                None => {
+                    suspended = true;
+                    break;
+                }
+                Some(false) => {}
+                Some(true) => {
+                    alive = true;
+                    for &o in candidates.iter().filter(|&&o| open_ref_pos(o) == open_pos) {
+                        if let Some(refs) = loq_of(topo, loq, o) {
+                            merge_refs(&mut matched_backrefs, refs);
+                        }
                     }
                 }
             }
         }
-        for &(open_pos, _) in &without_loq {
-            if alive && self.options.lazy_oracle {
+        for &(open_pos, _) in groups.iter().filter(|&&(_, has_loq)| !has_loq) {
+            if suspended || (alive && self.options.lazy_oracle) {
                 // The remaining groups cannot change Backref(v) (their LOQ
                 // sets are empty) and Alive(v) is already established.
                 break;
             }
             match self.ask_oracle(t, query, open_pos, pos) {
                 Some(answer) => alive |= answer,
-                None => return false,
+                None => suspended = true,
             }
+        }
+        if suspended {
+            // The resumption re-evaluates this vertex from the same layer 1:
+            // keep its candidates rather than work them out again.
+            close_cache[t] = Some(CachedClose { candidates, groups });
+            return false;
         }
 
         if alive {
@@ -1221,7 +1298,7 @@ impl Evaluator<'_, '_, '_> {
     /// positions).  On the batched plane the question goes through the
     /// ledger — usually answered by the collect phase's batch, otherwise
     /// resolved as a straggler flush.  `None` means the straggler flush
-    /// suspended on the overlapped plane (synchronous planes always
+    /// suspended on a suspending session (inline sessions always
     /// answer).
     fn ask_oracle(
         &mut self,
@@ -1260,25 +1337,24 @@ impl Evaluator<'_, '_, '_> {
     }
 
     /// Backward, oracle-free pass computing for every vertex whether `end`
-    /// is syntactically reachable from it, written into the flat `bits`
-    /// bitmap (`((pos - 1) * 3 + (layer - 1)) * states + state`).  One
-    /// resized allocation per evaluation instead of `3(|w| + 1)` nested
-    /// `Vec`s.
-    fn co_reachability(&self, bits: &mut Vec<bool>) {
+    /// is syntactically reachable from it, packed into `bits` (bit
+    /// `((pos - 1) * 3 + (layer - 1)) * states + state`).  Each position is
+    /// worked out in `row` — its layers 1–3 followed by the next
+    /// position's layer 1 — and then packed.
+    fn co_reachability(&self, bits: &mut Vec<u64>, row: &mut Vec<bool>) {
         let n = self.input.len();
         let states = self.snfa.num_states();
         let stride = 3 * states;
         bits.clear();
-        bits.resize(stride * (n + 1), false);
+        bits.resize((stride * (n + 1)).div_ceil(64), 0);
+        row.clear();
+        row.resize(4 * states, false);
 
         for pos in (1..=n + 1).rev() {
-            let (before, rest) = bits.split_at_mut(pos * stride);
-            let current = &mut before[(pos - 1) * stride..];
-            let next_layer1: Option<&[bool]> = if pos == n + 1 {
-                None
-            } else {
-                Some(&rest[..states])
-            };
+            let (current, next1) = row.split_at_mut(stride);
+            // `current` still holds position `pos + 1`: keep its layer 1.
+            next1.copy_from_slice(&current[..states]);
+            current.fill(false);
             let (l1, tail) = current.split_at_mut(states);
             let (l2, l3) = tail.split_at_mut(states);
 
@@ -1288,17 +1364,15 @@ impl Evaluator<'_, '_, '_> {
             if pos == n + 1 {
                 l3[self.snfa.accept()] = true;
             } else {
-                if let Some(next1) = next_layer1 {
-                    let byte = self.input[pos - 1];
-                    for (s, slot) in l3.iter_mut().enumerate() {
-                        if self
-                            .snfa
-                            .char_out(s)
-                            .iter()
-                            .any(|&(class, t)| class.contains(byte) && next1[t])
-                        {
-                            *slot = true;
-                        }
+                let byte = self.input[pos - 1];
+                for (s, slot) in l3.iter_mut().enumerate() {
+                    if self
+                        .snfa
+                        .char_out(s)
+                        .iter()
+                        .any(|&(class, t)| class.contains(byte) && next1[t])
+                    {
+                        *slot = true;
                     }
                 }
                 if self.search.is_some() {
@@ -1323,17 +1397,19 @@ impl Evaluator<'_, '_, '_> {
 
             // Layer 1: E12 edges into layer 2, then E11 edges in reverse
             // topological order.
-            for (dst, &src) in l1.iter_mut().zip(l2.iter()) {
-                if src {
-                    *dst = true;
-                }
-            }
+            l1.copy_from_slice(l2);
             for &t in self.topo.close_order().iter().rev() {
                 if l1[t] {
                     for &s in self.topo.close_in(t) {
                         l1[s] = true;
                     }
                 }
+            }
+
+            let base = (pos - 1) * stride;
+            for (offset, _) in current.iter().enumerate().filter(|&(_, &on)| on) {
+                let bit = base + offset;
+                bits[bit / 64] |= 1 << (bit % 64);
             }
         }
     }

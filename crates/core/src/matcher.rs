@@ -12,25 +12,25 @@ use semre_oracle::{BatchSession, Oracle, ResolverPool};
 use semre_syntax::{skeleton, Semre};
 
 use crate::eval::{
-    evaluate_in_session, evaluate_search_in_session, evaluate_search_with_scratch,
-    evaluate_with_scratch, resume_evaluation, try_evaluate_resumable, EvalOptions, EvalOutcome,
-    EvalReport, QueryTable, ScratchPool, SearchKind, SuspendedEval,
+    evaluate_in_session, evaluate_resumable, evaluate_search_in_session,
+    evaluate_search_with_scratch, evaluate_with_scratch, EvalOptions, EvalReport, QueryTable,
+    ScratchPool, SearchKind, SuspendedEval,
 };
 use crate::topology::GadgetTopology;
 
-/// A membership evaluation parked mid-line on the overlapped resolver
-/// plane: the verdict depends on oracle answers still in flight, and this
-/// value carries everything needed to continue the evaluation from the
-/// exact position that suspended — the frontier of the preceding position,
-/// the LOQ arena, the co-reachability bitmap, and the question ledger whose
-/// pending keys are already with the resolver pool.
+/// A membership evaluation parked mid-line on a suspending session: the
+/// verdict depends on oracle answers the session does not have yet, and
+/// this value carries everything needed to continue the evaluation from
+/// the exact position that suspended — the frontier of the preceding
+/// position, the LOQ arena, the packed co-reachability bitmap, and the
+/// question ledger whose pending keys the session is waiting on.
 ///
 /// Obtained from [`Matcher::try_run_in_session`]; hand it back to
-/// [`Matcher::resume_run_in_session`] (same matcher, same input, a session
-/// over the same pool) once the pool has made progress.  Resuming re-runs
-/// only the suspended position onwards, so a line that parks at `k`
-/// distinct flush points costs `O(|w|)` evaluator work in total, not
-/// `O(k · |w|)` as replaying from scratch would.
+/// [`Matcher::resume_run_in_session`] (same matcher, same input, the same
+/// session) once the session has made progress.  Resuming continues at
+/// the suspended question, so a line that parks at `k` distinct flush
+/// points costs `O(|w|)` evaluator work in total, not `O(k · |w|)` as
+/// replaying from scratch would.
 #[derive(Debug)]
 pub struct SuspendedMatch(Box<SuspendedEval>);
 
@@ -341,14 +341,22 @@ impl<O: Oracle> Matcher<O> {
         BatchSession::with_pool(&self.oracle, pool)
     }
 
+    /// A fresh [`BatchSession`] that defers its misses: an evaluation
+    /// needing an answer the session does not have suspends, and the
+    /// caller answers every deferred key of every parked evaluation in one
+    /// round trip ([`BatchSession::flush_deferred`]) before resuming them.
+    pub fn deferring_session(&self) -> BatchSession<'_> {
+        BatchSession::deferring(&self.oracle)
+    }
+
     /// Like [`run`](Matcher::run), but resolves oracle questions through
     /// `session`, batching and deduplicating across every evaluation that
     /// shares it.  Always uses the batched plane.
     ///
     /// # Panics
     ///
-    /// If `session` is wired to a resolver pool and the evaluation
-    /// suspends on in-flight answers; such sessions go through
+    /// If `session` is a suspending one (wired to a resolver pool, or
+    /// deferring) and the evaluation suspends; such sessions go through
     /// [`try_run_in_session`](Matcher::try_run_in_session).
     pub fn run_in_session(&self, input: &[u8], session: &mut BatchSession<'_>) -> EvalReport {
         if self.skeleton_rejects(input) {
@@ -372,12 +380,13 @@ impl<O: Oracle> Matcher<O> {
     }
 
     /// The suspension-aware flavour of
-    /// [`run_in_session`](Matcher::run_in_session): on a session wired to a
-    /// resolver pool ([`session_with_pool`](Matcher::session_with_pool)), a
-    /// line whose oracle answers are still in flight returns `Err` with the
+    /// [`run_in_session`](Matcher::run_in_session): on a suspending session
+    /// ([`session_with_pool`](Matcher::session_with_pool) or
+    /// [`deferring_session`](Matcher::deferring_session)), a line whose
+    /// oracle answers the session does not have yet returns `Err` with the
     /// parked evaluation.  Resume it with
     /// [`resume_run_in_session`](Matcher::resume_run_in_session) once the
-    /// pool has made progress.  Sessions without a pool never suspend.
+    /// session has made progress.  Inline sessions never suspend.
     pub fn try_run_in_session(
         &self,
         input: &[u8],
@@ -389,51 +398,42 @@ impl<O: Oracle> Matcher<O> {
                 ..EvalReport::default()
             });
         }
-        let scratch = self.scratch.take();
-        match try_evaluate_resumable(
-            &self.snfa,
-            &self.topo,
-            &self.query_table,
-            input,
-            self.eval_options(),
-            session,
-            scratch,
-        ) {
-            EvalOutcome::Done(report, scratch) => {
-                self.scratch.put(scratch);
-                Ok(report)
-            }
-            EvalOutcome::Suspended(state) => Err(SuspendedMatch(state)),
-        }
+        self.evaluate_resumable(input, session, None)
     }
 
     /// Continues a [suspended](Matcher::try_run_in_session) evaluation from
     /// the position that parked it, re-suspending (with updated state) when
-    /// the next needed answers are still in flight.  `input` must be the
-    /// line the evaluation was suspended on and `session` must resolve
-    /// through the same resolver pool — the parked state is only meaningful
-    /// against them.
+    /// the next needed answers are still missing.  `input` must be the
+    /// line the evaluation was suspended on and `session` the session it
+    /// suspended on — the parked state is only meaningful against them.
     pub fn resume_run_in_session(
         &self,
         parked: SuspendedMatch,
         input: &[u8],
         session: &mut BatchSession<'_>,
     ) -> Result<EvalReport, SuspendedMatch> {
-        match resume_evaluation(
+        self.evaluate_resumable(input, session, Some(parked.0))
+    }
+
+    fn evaluate_resumable(
+        &self,
+        input: &[u8],
+        session: &mut BatchSession<'_>,
+        parked: Option<Box<SuspendedEval>>,
+    ) -> Result<EvalReport, SuspendedMatch> {
+        let mut scratch = self.scratch.take();
+        let outcome = evaluate_resumable(
             &self.snfa,
             &self.topo,
             &self.query_table,
             input,
             self.eval_options(),
             session,
-            parked.0,
-        ) {
-            EvalOutcome::Done(report, scratch) => {
-                self.scratch.put(scratch);
-                Ok(report)
-            }
-            EvalOutcome::Suspended(state) => Err(SuspendedMatch(state)),
-        }
+            &mut scratch,
+            parked,
+        );
+        self.scratch.put(scratch);
+        outcome.map_err(SuspendedMatch)
     }
 
     /// The leftmost-earliest span `(start, end)` with

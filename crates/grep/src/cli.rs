@@ -1550,7 +1550,9 @@ backend_calls={} shards={} contended={}",
         session.persisted_hits(),
         shared.backend_keys,
         shared.dedup_ratio(),
-        oracle.stats().calls,
+        // Round trips: the shared session reaches the backend only
+        // through `resolve_batch`, one call per batch it forwards.
+        oracle.batches(),
         session.shards(),
         session.contended()
     ));

@@ -4,14 +4,24 @@
 //! independent membership query.  One chunk driver runs every scan: it
 //! claims `chunk_lines`-sized chunks (over `threads` workers, or inline
 //! on the calling thread), gives each chunk its own [`BatchSession`],
-//! parks and resumes lines whose oracle answers are in flight, applies
-//! the [`FaultPolicy`] and the line/time limits, and reassembles the
-//! records in line order.  Three entry points sit on it:
+//! parks and resumes lines whose oracle answers the session does not have
+//! yet, applies the [`FaultPolicy`] and the line/time limits, and
+//! reassembles the records in line order.  Three entry points sit on it:
 //!
 //! * [`scan_lines`] — membership on the plane [`ScanOptions`] names;
 //! * [`scan_spans`] — span search, with each line's spans;
 //! * [`scan`] — sequential per-call membership with per-line oracle
 //!   attribution, the Table 2 measurement.
+//!
+//! Batched membership scans suspend on both oracle planes, with one
+//! protocol: every line of a chunk runs until it needs an answer the chunk
+//! session does not have, and parks; once every line is decided or
+//! parked, the driver takes one progress step and resumes the parked
+//! lines from their checkpoints.  On the synchronous plane the progress
+//! step asks the union of the parked lines' missing keys in one backend
+//! round trip ([`BatchSession::flush_deferred`]), so round trips follow
+//! the deepest line of a chunk rather than the sum of its lines; on the
+//! overlapped plane it waits for the resolver pool to publish answers.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -49,13 +59,14 @@ pub trait LineMatcher: Sync {
     /// A short name identifying the algorithm ("snfa" or "dp").
     fn algorithm(&self) -> &'static str;
 
-    /// Suspension-aware membership through `session`: `Err` carries the
-    /// evaluation parked at the position whose oracle answers are still in
-    /// flight on the overlapped plane, and
+    /// Suspension-aware membership through `session`: on a
+    /// [suspending session](LineMatcher::suspending_session), `Err` carries
+    /// the evaluation parked at the position whose oracle answers the
+    /// session does not have yet, and
     /// [`resume_matches_line`](LineMatcher::resume_matches_line) continues
     /// from exactly there — so a parked line costs `O(|line|)` evaluator
     /// work across all resumptions, not one full replay per flush point.
-    /// Synchronous matchers (the default) always answer.
+    /// Matchers that never suspend (the default) always answer.
     fn try_matches_line_suspending(
         &self,
         line: &[u8],
@@ -67,7 +78,7 @@ pub trait LineMatcher: Sync {
     /// Continues a line parked by
     /// [`try_matches_line_suspending`](LineMatcher::try_matches_line_suspending),
     /// re-suspending (with updated state) when the next needed answers are
-    /// still in flight.  The default — for matchers that never suspend and
+    /// still missing.  The default — for matchers that never suspend and
     /// so can never have produced `parked` — re-evaluates synchronously.
     fn resume_matches_line(
         &self,
@@ -79,16 +90,13 @@ pub trait LineMatcher: Sync {
         Ok(self.matches_line_in_session(line, session))
     }
 
-    /// A session wired to this matcher's background resolver pool, when it
-    /// has one; chunk scans use it to overlap oracle latency with text
-    /// work.  `None` (the default) keeps the scan fully synchronous.
-    fn overlapped_session(&self) -> Option<BatchSession<'_>> {
-        None
-    }
-
-    /// This matcher's background resolver pool, when the overlapped plane
-    /// is enabled.
-    fn resolver_pool(&self) -> Option<&ResolverPool> {
+    /// A session on which
+    /// [`try_matches_line_suspending`](LineMatcher::try_matches_line_suspending)
+    /// parks lines instead of blocking: wired to the matcher's background
+    /// resolver pool when it has one, otherwise deferring misses to the
+    /// chunk's next round trip.  Batched membership scans use it; `None`
+    /// (the default, for matchers that never suspend) resolves inline.
+    fn suspending_session(&self) -> Option<BatchSession<'_>> {
         None
     }
 }
@@ -127,12 +135,8 @@ impl LineMatcher for SemRegex {
         SemRegex::resume_is_match(self, parked, line, session)
     }
 
-    fn overlapped_session(&self) -> Option<BatchSession<'_>> {
-        SemRegex::overlapped_session(self)
-    }
-
-    fn resolver_pool(&self) -> Option<&ResolverPool> {
-        SemRegex::resolver_pool(self).map(|pool| &**pool)
+    fn suspending_session(&self) -> Option<BatchSession<'_>> {
+        SemRegex::suspending_session(self)
     }
 }
 
@@ -151,6 +155,29 @@ impl<O: Oracle> LineMatcher for Matcher<O> {
 
     fn algorithm(&self) -> &'static str {
         "snfa"
+    }
+
+    fn try_matches_line_suspending(
+        &self,
+        line: &[u8],
+        session: &mut BatchSession<'_>,
+    ) -> Result<bool, SuspendedMatch> {
+        self.try_run_in_session(line, session)
+            .map(|report| report.matched)
+    }
+
+    fn resume_matches_line(
+        &self,
+        parked: SuspendedMatch,
+        line: &[u8],
+        session: &mut BatchSession<'_>,
+    ) -> Result<bool, SuspendedMatch> {
+        self.resume_run_in_session(parked, line, session)
+            .map(|report| report.matched)
+    }
+
+    fn suspending_session(&self) -> Option<BatchSession<'_>> {
+        Some(self.deferring_session())
     }
 }
 
@@ -318,15 +345,16 @@ struct FaultOutcome {
     fault: Option<OracleError>,
 }
 
-/// Applies the scan's fault policy to one decided line: consumes the
-/// thread's pending fault (if any) and returns the record to keep (if any)
-/// plus whether the scan must abort.
+/// Applies the scan's fault policy to one decided line, given the fault
+/// its evaluation recorded (if any), and returns the record to keep (if
+/// any) plus whether the scan must abort.
 fn apply_fault_policy(
     policy: FaultPolicy,
     record: LineRecord,
+    fault: Option<OracleError>,
     outcome: &mut FaultOutcome,
 ) -> (Option<LineRecord>, bool) {
-    match take_fault() {
+    match fault {
         None => (Some(record), false),
         Some(error) => match policy {
             FaultPolicy::Fail => {
@@ -352,43 +380,54 @@ fn apply_fault_policy(
     }
 }
 
-/// The session a chunk scan works through: wired to the matcher's
-/// resolver pool when `overlapped` is requested and the matcher has one,
-/// plain otherwise.
-fn chunk_session<M: LineMatcher + ?Sized>(matcher: &M, overlapped: bool) -> BatchSession<'_> {
-    if overlapped {
-        if let Some(session) = matcher.overlapped_session() {
+/// The session a chunk scan works through: the matcher's suspending
+/// session when `suspending` is requested and the matcher has one, plain
+/// otherwise.
+fn chunk_session<M: LineMatcher + ?Sized>(matcher: &M, suspending: bool) -> BatchSession<'_> {
+    if suspending {
+        if let Some(session) = matcher.suspending_session() {
             return session;
         }
     }
     matcher.session()
 }
 
-/// A line whose evaluation is suspended on in-flight oracle answers: the
-/// scan keeps its bytes (records only borrow the corpus) and the evaluator
-/// checkpoint to continue from.
-struct Parked {
+/// A line whose evaluation is suspended on oracle answers the chunk session
+/// does not have yet: its bytes (borrowed from the chunk, which outlives
+/// the scan), the evaluator checkpoint to continue from, and any fault its
+/// evaluation recorded before it parked — the thread's fault sink belongs
+/// to whichever line runs next, so a parked line carries its own.
+struct Parked<'l> {
     index: usize,
-    length: usize,
-    line: Vec<u8>,
+    line: &'l [u8],
     state: SuspendedMatch,
+    fault: Option<OracleError>,
 }
 
-/// Completion-driven re-evaluation of a chunk's parked lines: resume each
-/// suspended line from its checkpoint, and when a whole round makes no
-/// progress — no line completed and none advanced past its parked position
-/// — block until the resolver pool publishes another batch.  Resumes are
-/// cheap: a line with `k` in-flight flush points costs `O(|line|)`
+/// The suspension protocol of a chunk, the same on both planes: take one
+/// progress step, then resume each parked line from its checkpoint, until
+/// no line is left parked.  The progress step depends on the chunk
+/// session:
+///
+/// * a deferring session (the synchronous plane) asks the union of the
+///   keys the parked lines wait on in one round trip
+///   ([`BatchSession::flush_deferred`]) — every parked line then has the
+///   answers it parked on;
+/// * an overlapped session blocks until the resolver pool publishes
+///   another batch, but only after a round in which no line completed and
+///   none advanced past its parked position.
+///
+/// Resumes are cheap: a line with `k` flush points costs `O(|line|)`
 /// evaluator work *total* across all its resumptions, not `k` replays.
 /// Returns the completed records (in whatever order lines resumed; callers
-/// re-sort by index).  Faulted resumes go through `outcome` under `policy`;
+/// re-sort by index).  Faulted lines go through `outcome` under `policy`;
 /// a [`FaultPolicy::Fail`] fault aborts the drain, abandoning the remaining
-/// parked lines (the resolver pool completes their keys with placeholders,
-/// so nothing blocks — the scan is stopping anyway).
+/// parked lines (their keys are dropped, or completed with placeholders by
+/// the resolver pool, so nothing blocks — the scan is stopping anyway).
 fn drain_parked<M, T, F>(
     matcher: &M,
     session: &mut BatchSession<'_>,
-    mut parked: Vec<Parked>,
+    mut parked: Vec<Parked<'_>>,
     policy: FaultPolicy,
     outcome: &mut FaultOutcome,
     per_line: &F,
@@ -403,37 +442,47 @@ where
     ) -> Result<(bool, T), SuspendedMatch>,
 {
     let mut records = Vec::with_capacity(parked.len());
+    let pool = session.pool();
+    // The pool generation seen before a round that made no progress.
+    let mut stalled = None;
     while !parked.is_empty() {
-        let pool = matcher
-            .resolver_pool()
-            .expect("lines suspend only on the overlapped plane");
+        match (pool, stalled) {
+            (None, _) => session.flush_deferred(),
+            (Some(pool), Some(seen)) => {
+                pool.wait_for_progress(seen);
+            }
+            (Some(_), None) => {}
+        }
         // Snapshot *before* the resumes: a batch published while this
-        // round runs must wake the wait below, not be missed.
-        let generation = pool.generation();
+        // round runs must wake the next wait, not be missed.
+        let generation = pool.map(ResolverPool::generation);
         let mut advanced = false;
         let mut still = Vec::with_capacity(parked.len());
-        for entry in parked {
-            let Parked {
-                index,
-                length,
-                line,
-                state,
-            } = entry;
+        for Parked {
+            index,
+            line,
+            state,
+            fault,
+        } in parked
+        {
             let from = state.position();
             let line_start = Instant::now();
-            match per_line(matcher, &line, session, Some(state)) {
+            match per_line(matcher, line, session, Some(state)) {
                 Ok((matched, extra)) => {
-                    pool.note_resume();
+                    if let Some(pool) = pool {
+                        pool.note_resume();
+                    }
                     advanced = true;
                     let record = LineRecord {
                         index,
-                        length,
+                        length: line.len(),
                         matched,
                         degraded: false,
                         duration: line_start.elapsed(),
                         oracle: OracleStats::default(),
                     };
-                    let (keep, abort) = apply_fault_policy(policy, record, outcome);
+                    let fault = fault.or_else(take_fault);
+                    let (keep, abort) = apply_fault_policy(policy, record, fault, outcome);
                     if let Some(record) = keep {
                         records.push((record, extra));
                     }
@@ -445,17 +494,15 @@ where
                     advanced |= state.position() > from;
                     still.push(Parked {
                         index,
-                        length,
                         line,
                         state,
+                        fault: fault.or_else(take_fault),
                     });
                 }
             }
         }
         parked = still;
-        if !advanced {
-            pool.wait_for_progress(generation);
-        }
+        stalled = if advanced { None } else { generation };
     }
     records
 }
@@ -470,14 +517,15 @@ where
 /// `per_line` decides one line through the chunk's session and returns
 /// the verdict plus a per-line extra (the matched spans, the oracle
 /// delta, …); extras are returned indexed by absolute line number.  Given
-/// a parked evaluation it resumes that instead.  `Err` parks the line for
-/// completion-driven resumption — only on the `overlapped` plane; closures
-/// that never suspend pass `overlapped: false`.
+/// a parked evaluation it resumes that instead.  `Err` parks the line until
+/// [`drain_parked`] resumes it — only on a `suspending` scan, whose chunks
+/// work through the matcher's suspending session; closures that never
+/// suspend pass `suspending: false`.
 fn scan_chunks<M, L, T, F>(
     matcher: &M,
     lines: &[L],
     options: &ScanOptions,
-    overlapped: bool,
+    suspending: bool,
     per_line: F,
 ) -> (ScanReport, Vec<T>)
 where
@@ -521,7 +569,7 @@ where
             }
             let start_line = chunk_index * chunk_lines;
             let chunk = &lines[start_line..(start_line + chunk_lines).min(lines.len())];
-            let mut session = chunk_session(matcher, overlapped);
+            let mut session = chunk_session(matcher, suspending);
             let mut records = Vec::with_capacity(chunk.len());
             let mut parked: Vec<Parked> = Vec::new();
             let mut outcome = FaultOutcome::default();
@@ -553,8 +601,12 @@ where
                             duration: line_start.elapsed(),
                             oracle: OracleStats::default(),
                         };
-                        let (keep, abort) =
-                            apply_fault_policy(options.fault_policy, record, &mut outcome);
+                        let (keep, abort) = apply_fault_policy(
+                            options.fault_policy,
+                            record,
+                            take_fault(),
+                            &mut outcome,
+                        );
                         if let Some(record) = keep {
                             records.push((record, extra));
                         }
@@ -563,23 +615,22 @@ where
                         }
                     }
                     Err(state) => {
-                        matcher
-                            .resolver_pool()
-                            .expect("lines suspend only on the overlapped plane")
-                            .note_suspend();
+                        if let Some(pool) = session.pool() {
+                            pool.note_suspend();
+                        }
                         parked.push(Parked {
                             index,
-                            length: line.len(),
-                            line: line.to_vec(),
+                            line,
                             state,
+                            fault: take_fault(),
                         });
                     }
                 }
             }
             // Every admitted line gets a verdict, even when a limit
             // stopped the chunk early: parked lines already have questions
-            // in flight.  (Except under a `Fail` abort: the scan is
-            // stopping, so the remaining parked lines are abandoned.)
+            // queued or in flight.  (Except under a `Fail` abort: the scan
+            // is stopping, so the remaining parked lines are abandoned.)
             if outcome.fault.is_none() {
                 records.extend(drain_parked(
                     matcher,
@@ -660,10 +711,12 @@ where
 /// medicine names, or paths reach the backend once per chunk instead of
 /// once per occurrence.  The per-chunk
 /// [`BatchStats`](semre_oracle::BatchStats) are accumulated into
-/// [`ScanReport::batch`].  On a matcher with a background resolver pool
-/// (built with `SemRegexBuilder::overlapped`), lines whose answers are in
-/// flight are parked while the scan continues, and resumed from their
-/// checkpoints as the pool publishes answers.
+/// [`ScanReport::batch`].  Lines that need answers the chunk session does
+/// not have are parked while the chunk's other lines run, and resumed from
+/// their checkpoints once the session has made progress: after one round
+/// trip that asks every parked line's missing keys together, or, on a
+/// matcher with a background resolver pool (built with
+/// `SemRegexBuilder::overlapped`), as the pool publishes answers.
 ///
 /// Verdicts and record order are identical for every plane, chunk size
 /// and thread count; per-line oracle attribution is not recorded (see
@@ -979,7 +1032,8 @@ mod tests {
             }
         }
 
-        let stats = LineMatcher::resolver_pool(&overlapped)
+        let stats = overlapped
+            .resolver_pool()
             .expect("overlapped handle has a pool")
             .stats();
         assert!(
@@ -991,6 +1045,52 @@ mod tests {
             "every parked line resumed: {stats:?}"
         );
         assert!(stats.backend_keys > 0);
+    }
+
+    /// On the synchronous plane every line of a chunk parks on its next
+    /// missing key and the chunk asks the union in one round trip, so a
+    /// chunk costs as many round trips as its deepest line, not the sum
+    /// over its lines — with the same keys, answers and verdicts.
+    #[test]
+    fn synchronous_chunks_take_as_many_round_trips_as_their_deepest_line() {
+        let m = matcher();
+        let corpus: Vec<String> = [
+            "Subject: cheap viagra now",
+            "Subject: more tramadol deals today",
+            "Subject: weekly report attached",
+            "Subject: buy xanax or ambien online",
+        ]
+        .iter()
+        .map(|line| (*line).to_owned())
+        .collect();
+        let depths: Vec<u64> = corpus
+            .iter()
+            .map(|line| {
+                scan_lines(&m, std::slice::from_ref(line), ScanOptions::batched(1))
+                    .batch
+                    .batches
+            })
+            .collect();
+        assert!(
+            depths.iter().all(|&depth| depth >= 2),
+            "each line needs several fresh keys in sequence: {depths:?}"
+        );
+
+        let sequential = scan(&m, &corpus, OracleStats::default, ScanOptions::unlimited());
+        m.oracle().reset();
+        let chunk = scan_lines(&m, &corpus, ScanOptions::batched(corpus.len()));
+        let deepest = *depths.iter().max().unwrap();
+        assert!(
+            chunk.batch.batches <= deepest,
+            "{} round trips for per-line depths {depths:?}",
+            chunk.batch.batches
+        );
+        assert_eq!(m.oracle().batches(), chunk.batch.batches);
+        assert_eq!(chunk.batch.backend_keys, m.oracle().stats().calls);
+        let verdicts = |report: &ScanReport| -> Vec<bool> {
+            report.records.iter().map(|r| r.matched).collect()
+        };
+        assert_eq!(verdicts(&chunk), verdicts(&sequential));
     }
 
     #[test]

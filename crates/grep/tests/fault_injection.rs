@@ -18,7 +18,11 @@
 
 use std::sync::Arc;
 
-use semre::{Oracle, RetryOracle, RetryPolicy, SemRegex, SemRegexBuilder, SimLlmOracle};
+use semre::oracle::persist::{decode_log, LOG_MAGIC};
+use semre::{
+    Instrumented, Oracle, PersistentAnswerStore, RetryOracle, RetryPolicy, SemRegex,
+    SemRegexBuilder, SharedSession, SimLlmOracle,
+};
 use semre_grep::cli::{run_on_text, run_stream, CliOptions};
 use semre_grep::{scan_lines, FaultPolicy, ScanOptions, ScanReport};
 use semre_oracle::OracleStats;
@@ -370,6 +374,95 @@ fn enough_retry_attempts_make_engine_verdicts_fault_free() {
             .collect();
         assert_eq!(got, expected, "seed={seed}");
     }
+}
+
+/// The synchronous plane asks the missing keys of every parked line of a
+/// chunk in one round trip.  When that round trip fails, exactly the lines
+/// waiting on it degrade (under `skip-line`: dropped and listed), no
+/// placeholder answer is cached or logged, and the failed keys are asked
+/// again by the later lines that need them.
+#[test]
+fn a_failed_chunk_round_trip_degrades_exactly_the_lines_waiting_on_it() {
+    let lines = corpus_lines();
+    let counted = Arc::new(Instrumented::new(SimLlmOracle::new()));
+    let healthy = SemRegexBuilder::new()
+        .batched(true)
+        .build_shared(MEMBERSHIP, counted.clone() as Arc<dyn Oracle>)
+        .expect("pattern compiles");
+    let reference = semre_grep::scan(
+        &healthy,
+        &lines,
+        || counted.stats(),
+        ScanOptions::unlimited(),
+    );
+
+    let dir = std::env::temp_dir().join(format!("semre-fault-flush-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // The stack of a logged tree scan: shared session and answer log over
+    // a retry layer (one attempt) over a backend failing the given calls.
+    let build = |log: &str, fail_nth: Vec<u64>| {
+        let log = dir.join(log);
+        let _ = std::fs::remove_file(&log);
+        let flaky = FlakyOracle::new(SimLlmOracle::new(), FlakySchedule::with_fail_nth(fail_nth));
+        let retry = RetryOracle::with_policy(flaky, RetryPolicy::attempts(1));
+        let store = Arc::new(PersistentAnswerStore::open(&log).unwrap());
+        let shared = SharedSession::with_persistence(Arc::new(retry), store, "flaky");
+        let re = SemRegexBuilder::new()
+            .batched(true)
+            .chunk_lines(4)
+            .build_shared(MEMBERSHIP, Arc::new(shared.clone()) as Arc<dyn Oracle>)
+            .expect("pattern compiles");
+        (re, shared, log)
+    };
+    // Fail the first round trip after the compile's ε-probes: the first
+    // chunk's flush, which every oracle-bearing line of that chunk parked
+    // on.
+    let probes = build("probe.log", Vec::new()).1.stats().batches;
+    let (re, shared, log) = build("answers.log", vec![probes]);
+    let report = scan_lines(
+        &re,
+        &lines,
+        ScanOptions::batched(4).with_fault_policy(FaultPolicy::SkipLine),
+    );
+
+    assert!(report.fault.is_none());
+    let waiting: Vec<usize> = reference.records[..4]
+        .iter()
+        .filter(|r| r.oracle.calls > 0)
+        .map(|r| r.index)
+        .collect();
+    assert!(!waiting.is_empty());
+    assert_eq!(report.degraded, waiting);
+    assert_eq!(report.records.len() + waiting.len(), lines.len());
+    // Every other line keeps its healthy verdict — including later lines
+    // that repeat a waiting line and so need the keys that failed.
+    for record in &report.records {
+        assert_eq!(
+            record.matched, reference.records[record.index].matched,
+            "line {}",
+            record.index
+        );
+    }
+    assert!(report
+        .records
+        .iter()
+        .any(|r| r.matched && lines[r.index] == lines[waiting[0]]));
+
+    // The log holds real answers only, one per key the session stores.
+    let stored = shared.len();
+    drop((re, shared));
+    let bytes = std::fs::read(&log).unwrap();
+    let records = decode_log(bytes.strip_prefix(&LOG_MAGIC[..]).unwrap()).records;
+    assert_eq!(records.len(), stored);
+    let llm = SimLlmOracle::new();
+    for record in &records {
+        assert_eq!(
+            llm.holds(&record.query, &record.text),
+            record.answer,
+            "{record:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Counts the oracle calls a compile makes (ε-probes and such), so panic

@@ -439,13 +439,7 @@ fn racing_scan_threads_ask_the_backend_once_per_logged_answer() {
     args.push(tree.display().to_string());
     let options = CliOptions::parse(args).unwrap();
     let outcome = run_paths(&options, &expand_targets(&options), &mut Vec::new()).unwrap();
-    let field = |prefix: &str, name: &str| -> u64 {
-        let line = outcome.stderr.iter().find(|l| l.starts_with(prefix));
-        let line = line.unwrap_or_else(|| panic!("no {prefix} line: {:?}", outcome.stderr));
-        line.split_whitespace()
-            .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
-            .unwrap_or_else(|| panic!("no {name} in {line}"))
-    };
+    let field = |prefix: &str, name: &str| stderr_field(&outcome.stderr, prefix, name);
     let appended = field("answer_store:", "appended");
     assert!(appended > 0);
     assert_eq!(
@@ -454,4 +448,59 @@ fn racing_scan_threads_ask_the_backend_once_per_logged_answer() {
         "{:?}",
         outcome.stderr
     );
+}
+
+/// The numeric field `name` of the `--stats` line starting with `prefix`.
+fn stderr_field(stderr: &[String], prefix: &str, name: &str) -> u64 {
+    let line = stderr.iter().find(|l| l.starts_with(prefix));
+    let line = line.unwrap_or_else(|| panic!("no {prefix} line: {stderr:?}"));
+    line.split_whitespace()
+        .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
+        .unwrap_or_else(|| panic!("no {name} in {line}"))
+}
+
+/// The synchronous batched plane parks every line of a chunk on its next
+/// missing key and asks the union in one round trip, so on a tree whose
+/// giant file names a fresh medicine on most lines the backend sees far
+/// fewer round trips than keys — while the keys asked, and the output,
+/// stay those of the overlapped plane.
+#[test]
+fn synchronous_scans_carry_many_keys_per_round_trip() {
+    let scratch = Scratch::new("sync-round-trips");
+    let tree = scratch.0.join("tree");
+    let config = CorpusTreeConfig {
+        seed: 17,
+        files: 3,
+        mean_lines: 20,
+        ..CorpusTreeConfig::default()
+    };
+    CorpusTree::generate_skewed(&config, 300)
+        .write_to(&tree)
+        .unwrap();
+    let run = |plane: &[&str], log: &str| {
+        let mut args: Vec<String> = plane.iter().map(|s| s.to_string()).collect();
+        args.extend(
+            "--batched --oracle-delay 1000 --split-bytes 4096 --stats --count --answer-log"
+                .split(' ')
+                .map(String::from),
+        );
+        args.push(scratch.0.join(log).display().to_string());
+        args.push(PATTERN.into());
+        args.push(tree.display().to_string());
+        let options = CliOptions::parse(args).unwrap();
+        let mut out = Vec::new();
+        let outcome = run_paths(&options, &expand_targets(&options), &mut out).unwrap();
+        (out, outcome.stderr)
+    };
+    let (sync_out, stderr) = run(&["--threads", "1"], "sync.log");
+    let field = |prefix: &str, name: &str| stderr_field(&stderr, prefix, name);
+    let keys = field("shared_session:", "backend_keys");
+    let round_trips = field("shared_session:", "backend_calls");
+    assert!(keys > 0, "{stderr:?}");
+    assert!(round_trips * 3 <= keys, "{stderr:?}");
+    assert_eq!(keys, field("answer_store:", "appended"), "{stderr:?}");
+
+    let (pooled_out, _) = run(&["--threads", "1", "--oracle-threads", "2"], "pooled.log");
+    assert!(!sync_out.is_empty());
+    assert_eq!(sync_out, pooled_out);
 }

@@ -31,6 +31,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 
+use crate::error::{record_fault, take_fault, OracleError};
 use crate::overlap::ResolverPool;
 use crate::stats::BatchStats;
 use crate::Oracle;
@@ -90,6 +91,8 @@ pub struct QueryLedger<K> {
     keys: Vec<K>,
     answers: Vec<Option<bool>>,
     resolved: usize,
+    /// Distinct keys dropped by [`forget`](QueryLedger::forget).
+    forgotten: u64,
     stats: BatchStats,
 }
 
@@ -101,6 +104,7 @@ impl<K: Eq + Hash + Clone> QueryLedger<K> {
             keys: Vec::new(),
             answers: Vec::new(),
             resolved: 0,
+            forgotten: 0,
             stats: BatchStats::default(),
         }
     }
@@ -132,7 +136,22 @@ impl<K: Eq + Hash + Clone> QueryLedger<K> {
 
     /// Number of distinct keys enlisted so far.
     pub fn unique_keys(&self) -> u64 {
-        self.keys.len() as u64
+        self.forgotten + self.keys.len() as u64
+    }
+
+    /// Drops every key with its slot and answer, keeping the counters, so
+    /// the ledger holds only what its caller can still enlist again.  The
+    /// evaluator forgets between positions: a key names its close
+    /// position, so no later position enlists a key an earlier one did,
+    /// and a line's ledger stays as small as one position's questions.
+    /// Slots handed out before are invalid afterwards.
+    pub fn forget(&mut self) {
+        debug_assert_eq!(self.pending(), 0, "forgetting unresolved keys");
+        self.forgotten += self.keys.len() as u64;
+        self.slots.clear();
+        self.keys.clear();
+        self.answers.clear();
+        self.resolved = 0;
     }
 
     /// Batch-plane counters accumulated by this ledger.
@@ -556,22 +575,98 @@ fn resolve_cost_ordered(oracle: &dyn Oracle, misses: &[QueryKey<'_>]) -> Vec<boo
 /// backend as one sub-batch through [`Oracle::resolve_batch`].  Sharing one
 /// session across all lines of a grep chunk is what turns per-line batches
 /// into chunk-level batches.
+///
+/// A *suspending* session goes further: [`try_resolve`](Self::try_resolve)
+/// does not block on a miss but reports the batch as not yet answerable,
+/// so the caller parks the evaluation and runs other lines meanwhile.  A
+/// session built [`with_pool`](Self::with_pool) hands its misses to a
+/// background resolver pool; a [`deferring`](Self::deferring) session
+/// holds them until the caller's next
+/// [`flush_deferred`](Self::flush_deferred), which asks every line's
+/// missing keys in one round trip.
 pub struct BatchSession<'o> {
     oracle: &'o dyn Oracle,
-    overlap: Option<&'o ResolverPool>,
+    suspend: Suspend<'o>,
     cache: AnswerStore,
     stats: BatchStats,
+}
+
+/// What a session's [`try_resolve`](BatchSession::try_resolve) does with
+/// a miss.
+enum Suspend<'o> {
+    /// Ask the backend inline.
+    Never,
+    /// Submit it to the resolver pool.
+    Pool(&'o ResolverPool),
+    /// Hold it for the next [`flush_deferred`](BatchSession::flush_deferred).
+    Defer(Deferred),
+}
+
+/// The misses of a deferring session: the keys asked since the last
+/// flush, and the answers that flush brought back.
+#[derive(Debug, Default)]
+struct Deferred {
+    /// Keys missed since the last flush, in the order they were asked
+    /// (two lines missing one key queue it twice; the flush asks it once).
+    queued: Vec<(String, Vec<u8>)>,
+    /// The last flush's answers, `None` for a key whose round trip
+    /// failed.  The evaluations that asked a key read it from here into
+    /// the session store; the next flush drops what is left, so a failed
+    /// key is asked again if a later line needs it.
+    landed: AnswerStore<Option<bool>>,
+    /// The last flush's fault, recorded again for every evaluation that
+    /// reads one of its failed keys.
+    fault: Option<OracleError>,
+}
+
+impl Deferred {
+    /// The answers to `misses`, or `None` after queueing every miss that
+    /// needs the next flush.  A miss comes from the last flush's answers;
+    /// or, when `oracle` prices it at zero (already in the oracle's own
+    /// memory: a shared session's store, a tier memo), from `oracle`
+    /// inline, since waiting a round trip for it would buy nothing.
+    /// Reading a failed key yields a placeholder `false` and records the
+    /// flush's fault.
+    fn answers(&mut self, misses: &[QueryKey<'_>], oracle: &dyn Oracle) -> Option<Vec<bool>> {
+        let mut answers = vec![false; misses.len()];
+        let (mut free, mut queued, mut failed) = (Vec::new(), false, false);
+        for (i, key) in misses.iter().enumerate() {
+            match self.landed.get(key) {
+                Some(answer) => {
+                    failed |= answer.is_none();
+                    answers[i] = answer.unwrap_or(false);
+                }
+                None if oracle.question_cost(key.query, key.text) == 0 => free.push(i),
+                None => {
+                    queued = true;
+                    self.queued.push((key.query.to_owned(), key.text.to_vec()));
+                }
+            }
+        }
+        if queued {
+            return None;
+        }
+        if !free.is_empty() {
+            let keys: Vec<QueryKey<'_>> = free.iter().map(|&i| misses[i]).collect();
+            for (&i, answer) in free.iter().zip(resolve_cost_ordered(oracle, &keys)) {
+                answers[i] = answer;
+            }
+        }
+        if failed {
+            record_fault(
+                self.fault
+                    .clone()
+                    .unwrap_or_else(|| OracleError::fatal("deferred round trip failed")),
+            );
+        }
+        Some(answers)
+    }
 }
 
 impl<'o> BatchSession<'o> {
     /// A fresh session over `oracle`.
     pub fn new(oracle: &'o dyn Oracle) -> Self {
-        BatchSession {
-            oracle,
-            overlap: None,
-            cache: AnswerStore::default(),
-            stats: BatchStats::default(),
-        }
+        BatchSession::with(oracle, Suspend::Never)
     }
 
     /// A session that resolves through a background [`ResolverPool`]
@@ -580,9 +675,25 @@ impl<'o> BatchSession<'o> {
     /// not-yet-available, letting the caller suspend the current line and
     /// keep scanning while the pool works.
     pub fn with_pool(oracle: &'o dyn Oracle, pool: &'o ResolverPool) -> Self {
+        BatchSession::with(oracle, Suspend::Pool(pool))
+    }
+
+    /// A session whose [`try_resolve`](BatchSession::try_resolve) queues
+    /// its misses instead of asking `oracle`: the caller suspends the line,
+    /// runs the others, and then answers every queued key at once with
+    /// [`flush_deferred`](BatchSession::flush_deferred) — one round trip
+    /// for all the lines parked on the session, with no threads.  Misses
+    /// that `oracle` prices at zero ([`Oracle::question_cost`]: already in
+    /// a shared session's store or a tier memo) cost no round trip, so
+    /// they are answered inline instead of parking the line.
+    pub fn deferring(oracle: &'o dyn Oracle) -> Self {
+        BatchSession::with(oracle, Suspend::Defer(Deferred::default()))
+    }
+
+    fn with(oracle: &'o dyn Oracle, suspend: Suspend<'o>) -> Self {
         BatchSession {
             oracle,
-            overlap: Some(pool),
+            suspend,
             cache: AnswerStore::default(),
             stats: BatchStats::default(),
         }
@@ -590,7 +701,10 @@ impl<'o> BatchSession<'o> {
 
     /// The resolver pool this session submits to, if overlapped.
     pub fn pool(&self) -> Option<&'o ResolverPool> {
-        self.overlap
+        match self.suspend {
+            Suspend::Pool(pool) => Some(pool),
+            _ => None,
+        }
     }
 
     /// The backend this session resolves against.
@@ -600,39 +714,37 @@ impl<'o> BatchSession<'o> {
 
     /// Answers `batch[i]` in `result[i]`, consulting the session store
     /// first and forwarding at most one deduplicated sub-batch to the
-    /// backend (inline, even on a session built with a pool).
+    /// backend (inline, even on a suspending session).
     pub fn resolve(&mut self, batch: &[QueryKey<'_>]) -> Vec<bool> {
-        self.resolve_via(batch, None)
+        self.resolve_via(batch, false)
             .expect("an inline resolve always completes")
     }
 
-    /// The non-blocking flavour of [`resolve`](BatchSession::resolve) for
-    /// overlapped sessions: answers come from the session store or from
-    /// answers the [`ResolverPool`] has already published; anything still
-    /// unknown is submitted to the pool and the whole batch reports
-    /// `None`, so the caller can suspend and retry once the pool has made
-    /// progress.
+    /// The non-blocking flavour of [`resolve`](BatchSession::resolve):
+    /// answers come from the session store, or from what the session's
+    /// resolver pool has published or its last
+    /// [`flush_deferred`](BatchSession::flush_deferred) brought back.
+    /// Anything still unknown is submitted to the pool or queued for the
+    /// next flush, and the whole batch reports `None`, so the caller can
+    /// suspend and retry once the session has made progress.
     ///
-    /// Sessions without a pool (constructed by
-    /// [`new`](BatchSession::new)) resolve inline and never return `None`,
-    /// so callers can use `try_resolve` unconditionally.
+    /// Sessions built by [`new`](BatchSession::new) resolve inline and
+    /// never return `None`, so callers can use `try_resolve`
+    /// unconditionally.
     ///
     /// Counters only move when the batch completes, so a retried batch is
-    /// counted once — exactly as a synchronous session would count it.
+    /// counted once — exactly as an inline session would count it.  A
+    /// deferring session counts its round trips (`batches`) at the flush.
     pub fn try_resolve(&mut self, batch: &[QueryKey<'_>]) -> Option<Vec<bool>> {
-        self.resolve_via(batch, self.overlap)
+        self.resolve_via(batch, true)
     }
 
-    fn resolve_via(
-        &mut self,
-        batch: &[QueryKey<'_>],
-        pool: Option<&ResolverPool>,
-    ) -> Option<Vec<bool>> {
+    fn resolve_via(&mut self, batch: &[QueryKey<'_>], suspend: bool) -> Option<Vec<bool>> {
         let plan = BatchPlan::classify(batch, |key| self.cache.get(key));
-        let miss_answers = match pool {
+        let mut round_trip = true;
+        let miss_answers = match &mut self.suspend {
             _ if plan.misses.is_empty() => Vec::new(),
-            None => resolve_cost_ordered(self.oracle, &plan.misses),
-            Some(pool) => {
+            Suspend::Pool(pool) if suspend => {
                 let mut pending: Vec<QueryKey<'_>> = plan
                     .misses
                     .iter()
@@ -655,20 +767,28 @@ impl<'o> BatchSession<'o> {
                     .map(|key| pool.lookup(key).expect("every miss resolved"))
                     .collect()
             }
+            Suspend::Defer(deferred) if suspend => {
+                round_trip = false;
+                deferred.answers(&plan.misses, self.oracle)?
+            }
+            _ => resolve_cost_ordered(self.oracle, &plan.misses),
         };
         self.stats.keys_submitted += batch.len() as u64;
         self.stats.keys_deduped += plan.hits();
         if !plan.misses.is_empty() {
-            // On an overlapped session the pool's store plays the backend
-            // role: these keys went past the session, so they count as
-            // backend keys even though the true backend round trips
-            // happened in the pool (and are reported by its own counters).
-            self.stats.batches += 1;
+            // On a suspending session the pool's store or the deferred
+            // flush plays the backend role: these keys went past the
+            // session, so they count as backend keys even though the true
+            // round trips happened in the pool (and are reported by its own
+            // counters) or at the flush (which counted the batch).
+            if round_trip {
+                self.stats.batches += 1;
+            }
             self.stats.backend_keys += plan.misses.len() as u64;
             // Placeholder answers from a faulted backend, or from a failed
-            // pool key (whose lookup recorded the fault), must not enter
-            // the session store (the fault-sink contract in the `error`
-            // module).
+            // pool or flush key (whose read recorded the fault), must not
+            // enter the session store (the fault-sink contract in the
+            // `error` module).
             if !crate::error::fault_pending() {
                 for (key, &answer) in plan.misses.iter().zip(&miss_answers) {
                     self.cache.insert(key, answer);
@@ -676,6 +796,38 @@ impl<'o> BatchSession<'o> {
             }
         }
         Some(plan.into_answers(miss_answers))
+    }
+
+    /// Answers every key a [`deferring`](BatchSession::deferring) session
+    /// has queued since the last flush in one cost-ordered round trip
+    /// (duplicates asked once), and drops what the previous flush brought
+    /// back.  The parked evaluations then read their answers through
+    /// [`try_resolve`](BatchSession::try_resolve).  If the round trip
+    /// faults, its keys are marked failed for the evaluations that asked
+    /// them, the fault is taken off the calling thread, and no placeholder
+    /// enters the session store.  Does nothing on other sessions.
+    pub fn flush_deferred(&mut self) {
+        let Suspend::Defer(deferred) = &mut self.suspend else {
+            return;
+        };
+        deferred.landed.clear();
+        deferred.fault = None;
+        let queued = std::mem::take(&mut deferred.queued);
+        let keys: Vec<QueryKey<'_>> = queued
+            .iter()
+            .map(|(query, text)| QueryKey::new(query, text))
+            .collect();
+        let plan = BatchPlan::classify(&keys, |_| None);
+        if plan.misses.is_empty() {
+            return;
+        }
+        let answers = resolve_cost_ordered(self.oracle, &plan.misses);
+        self.stats.batches += 1;
+        deferred.fault = take_fault();
+        let failed = deferred.fault.is_some();
+        for (key, answer) in plan.misses.iter().zip(answers) {
+            deferred.landed.insert(key, (!failed).then_some(answer));
+        }
     }
 
     /// Batch-plane counters accumulated by this session.
@@ -693,9 +845,13 @@ impl<'o> BatchSession<'o> {
         self.cache.len() == 0
     }
 
-    /// Drops all stored answers and counters (e.g. at a chunk boundary).
+    /// Drops all stored answers, deferred keys and counters (e.g. at a
+    /// chunk boundary).
     pub fn clear(&mut self) {
         self.cache.clear();
+        if let Suspend::Defer(deferred) = &mut self.suspend {
+            *deferred = Deferred::default();
+        }
         self.stats = BatchStats::default();
     }
 }
@@ -1073,6 +1229,14 @@ mod tests {
         assert_eq!(ledger.answer(c), Some(false)); // "a"
         assert_eq!(oracle.stats().calls, 3);
         assert_eq!(ledger.stats().batches, 2);
+
+        // Forgetting keeps the counts but frees the keys.
+        ledger.forget();
+        assert_eq!(ledger.unique_keys(), 3);
+        assert_eq!(ledger.pending(), 0);
+        let again = ledger.enlist((0, 1, 2));
+        assert!(ledger.answer(again).is_none());
+        assert_eq!(ledger.unique_keys(), 4);
     }
 
     #[test]
@@ -1404,6 +1568,54 @@ mod tests {
         let batch = keys(&[("q", b"ab"), ("q", b"cd")]);
         assert_eq!(session.try_resolve(&batch), Some(vec![true, false]));
         assert_eq!(session.stats().backend_keys, 2);
+    }
+
+    #[test]
+    fn deferring_sessions_answer_parked_batches_at_the_flush() {
+        use crate::error::{record_fault, take_fault, OracleError};
+        use std::sync::atomic::AtomicU64;
+
+        // The first round trip faults; later ones answer.
+        let calls = AtomicU64::new(0);
+        let oracle = Instrumented::new(PredicateOracle::new(|_, t: &[u8]| {
+            if calls.fetch_add(1, Relaxed) == 0 {
+                record_fault(OracleError::transient("backend down"));
+                return false;
+            }
+            t.starts_with(b"a")
+        }));
+        let mut session = BatchSession::deferring(&oracle);
+        let (first, second) = (keys(&[("q", b"ab")]), keys(&[("q", b"ab"), ("q", b"cd")]));
+        // Two parked lines queue their misses; nothing reaches the backend.
+        assert_eq!(session.try_resolve(&first), None);
+        assert_eq!(session.try_resolve(&second), None);
+        assert_eq!(oracle.stats().calls, 0);
+
+        // One round trip for the union; it faults.  Both lines read the
+        // failed keys as placeholders with the fault, and nothing is
+        // cached.
+        session.flush_deferred();
+        assert_eq!(session.stats().batches, 1);
+        assert!(take_fault().is_none(), "the flush takes its own fault");
+        assert_eq!(session.try_resolve(&first), Some(vec![false]));
+        assert!(take_fault().is_some());
+        assert_eq!(session.try_resolve(&second), Some(vec![false, false]));
+        assert!(take_fault().is_some());
+        assert!(session.is_empty());
+
+        // Not sticky: after the next flush the keys are asked again.
+        session.flush_deferred();
+        assert_eq!(session.try_resolve(&second), None);
+        session.flush_deferred();
+        assert_eq!(oracle.batches(), 2, "ab and cd in one round trip");
+        assert_eq!(session.try_resolve(&second), Some(vec![true, false]));
+        assert!(take_fault().is_none());
+        assert_eq!(session.try_resolve(&first), Some(vec![true]));
+        assert_eq!(session.len(), 2);
+        assert_eq!(session.stats().batches, 2);
+        // `resolve` still answers inline.
+        assert_eq!(session.resolve(&keys(&[("q", b"ax")])), vec![true]);
+        assert_eq!(session.stats().batches, 3);
     }
 
     #[test]

@@ -277,28 +277,32 @@ impl SemRegex {
         self.pool.as_ref()
     }
 
-    /// A fresh [`BatchSession`] wired to the resolver pool: straggler
-    /// flushes are submitted to the pool instead of blocking, and a test
-    /// whose answers are still in flight suspends (see
-    /// [`try_is_match_suspending`](SemRegex::try_is_match_suspending)).
-    /// `None` when the handle is not overlapped (or uses the DP baseline,
-    /// which always resolves synchronously).
-    pub fn overlapped_session(&self) -> Option<BatchSession<'_>> {
-        let pool = self.pool.as_deref()?;
-        match &self.engine {
-            Engine::Snfa(m) => Some(m.session_with_pool(pool)),
-            Engine::Dp(_) => None,
+    /// A fresh suspending [`BatchSession`] for
+    /// [`try_is_match_suspending`](SemRegex::try_is_match_suspending): a
+    /// test needing answers the session does not have yet suspends instead
+    /// of blocking.  On an overlapped handle the session submits its
+    /// misses to the resolver pool; otherwise it defers them until the
+    /// caller's [`BatchSession::flush_deferred`], which asks the keys of
+    /// every test parked on the session in one round trip.  `None` for the
+    /// DP baseline, which always resolves inline.
+    pub fn suspending_session(&self) -> Option<BatchSession<'_>> {
+        match (&self.engine, self.pool.as_deref()) {
+            (Engine::Snfa(m), Some(pool)) => Some(m.session_with_pool(pool)),
+            (Engine::Snfa(m), None) => Some(m.deferring_session()),
+            (Engine::Dp(_), _) => None,
         }
     }
 
     /// Like [`is_match_in_session`](SemRegex::is_match_in_session), but
-    /// suspension-aware: when the verdict depends on oracle answers still
-    /// in flight on the resolver pool, `Err` returns the parked evaluation
-    /// state ([`SuspendedMatch`]) so the caller resumes from the suspended
-    /// position with [`resume_is_match`](SemRegex::resume_is_match) once
-    /// the pool has made progress.  This is what the scan driver uses:
-    /// parked lines cost `O(|w|)` evaluator work across all resumptions.
-    /// Synchronous sessions and the DP baseline never suspend.
+    /// suspension-aware: on a [suspending
+    /// session](SemRegex::suspending_session), when the verdict depends on
+    /// oracle answers the session does not have yet, `Err` returns the
+    /// parked evaluation state ([`SuspendedMatch`]) so the caller resumes
+    /// from the suspended position with
+    /// [`resume_is_match`](SemRegex::resume_is_match) once the session has
+    /// made progress.  This is what the scan driver uses: parked lines cost
+    /// `O(|w|)` evaluator work across all resumptions.  Inline sessions
+    /// and the DP baseline never suspend.
     pub fn try_is_match_suspending(
         &self,
         haystack: &[u8],
@@ -315,9 +319,9 @@ impl SemRegex {
     /// Continues an evaluation parked by
     /// [`try_is_match_suspending`](SemRegex::try_is_match_suspending), from
     /// the position that suspended it.  `haystack` must be the line the
-    /// evaluation was parked on, and `session` must resolve through the
-    /// same resolver pool; re-suspends (with updated state) when the next
-    /// needed answers are still in flight.
+    /// evaluation was parked on, and `session` the session it suspended
+    /// on; re-suspends (with updated state) when the next needed answers
+    /// are still missing.
     pub fn resume_is_match(
         &self,
         parked: SuspendedMatch,
