@@ -180,6 +180,24 @@ impl Layer {
         self.alive.iter_mut().for_each(|a| *a = false);
         self.backref.iter_mut().for_each(Vec::clear);
     }
+
+    /// Moves the alive states out with their backreference sets — all a
+    /// parked evaluation keeps of a frontier; the buffers stay behind.
+    fn take_alive(&mut self) -> Vec<(StateId, Vec<OpenRef>)> {
+        (0..self.alive.len())
+            .filter(|&state| self.alive[state])
+            .map(|state| (state, std::mem::take(&mut self.backref[state])))
+            .collect()
+    }
+
+    /// Puts states taken by [`take_alive`](Layer::take_alive) back into a
+    /// cleared frontier.
+    fn restore(&mut self, alive: Vec<(StateId, Vec<OpenRef>)>) {
+        for (state, refs) in alive {
+            self.alive[state] = true;
+            self.backref[state] = refs;
+        }
+    }
 }
 
 /// Arena of `LOQ(o)` sets, keyed by dense `(open index, position)`
@@ -620,12 +638,8 @@ pub(crate) fn evaluate_resumable<'a>(
                 apply,
                 search,
             } = *parked;
-            let prev3 = &mut scratch.prev3;
-            prev3.ensure(snfa.num_states());
-            for (state, refs) in frontier {
-                prev3.alive[state] = true;
-                prev3.backref[state] = refs;
-            }
+            scratch.prev3.ensure(snfa.num_states());
+            scratch.prev3.restore(frontier);
             scratch.loq = loq;
             scratch.coreach = coreach;
             (ledger, report, best, search, Some((pos, apply)))
@@ -661,13 +675,8 @@ pub(crate) fn evaluate_resumable<'a>(
             .plane
             .take()
             .expect("resumable evaluations run on the batched plane");
-        let prev3 = &mut scratch.prev3;
-        let frontier = (0..prev3.alive.len())
-            .filter(|&state| prev3.alive[state])
-            .map(|state| (state, std::mem::take(&mut prev3.backref[state])))
-            .collect();
         return Err(Box::new(SuspendedEval {
-            frontier,
+            frontier: scratch.prev3.take_alive(),
             loq: std::mem::take(&mut scratch.loq),
             coreach: std::mem::take(&mut scratch.coreach),
             ledger: plane.ledger,
@@ -716,7 +725,7 @@ struct Evaluator<'a, 's, 'o> {
 /// An apply phase stopped at a straggler question: the close-order index
 /// of the vertex to re-evaluate, layer 1 as the vertices before it left it
 /// (its alive states with their backreference sets), and the collect
-/// phase's cached candidates of the vertices still to come.  Resuming here
+/// phase's cached candidates of that vertex and the ones after it.  Resuming here
 /// instead of re-running the position keeps a line with `k` stragglers at
 /// one position from paying for that position `k` times.
 #[derive(Debug)]
@@ -737,10 +746,7 @@ impl ApplyState {
     ) -> Self {
         ApplyState {
             next,
-            layer1: (0..layer1.alive.len())
-                .filter(|&s| layer1.alive[s])
-                .map(|s| (s, std::mem::take(&mut layer1.backref[s])))
-                .collect(),
+            layer1: layer1.take_alive(),
             cached: close_order[next..]
                 .iter()
                 .filter_map(|&c| Some((c, close_cache[c].take()?)))
@@ -844,10 +850,7 @@ impl Evaluator<'_, '_, '_> {
             layer3.clear();
             let apply_from = match self.apply.take() {
                 Some(state) if resume_at == Some(pos) => {
-                    for (state_id, refs) in state.layer1 {
-                        layer1.alive[state_id] = true;
-                        layer1.backref[state_id] = refs;
-                    }
+                    layer1.restore(state.layer1);
                     for (state_id, cached) in state.cached {
                         close_cache[state_id] = Some(cached);
                     }
