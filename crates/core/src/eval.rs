@@ -839,11 +839,13 @@ impl Evaluator<'_, '_, '_> {
                     plane.ledger.forget();
                 }
             }
-            // Suspensions abandon the position mid-phase and the resumption
-            // re-runs it from its first layer, re-asking what the aborted
-            // attempt already read from the ledger — so roll the logical
-            // request counter back to the position's entry value, keeping
-            // counts identical to an uninterrupted evaluation.
+            // A suspension rolls the logical request counter back to where
+            // its resumption starts asking again, keeping counts identical
+            // to an uninterrupted evaluation: to the position's entry value
+            // when the collect phase suspends (the resumption asks from the
+            // first close vertex), to the vertex's entry value when a close
+            // vertex does (the resumption re-evaluates only that vertex,
+            // with layer 1 and the cached candidates restored).
             let calls_at_pos = self.report.oracle_calls;
             layer1.clear();
             layer2.clear();
@@ -1171,8 +1173,9 @@ impl Evaluator<'_, '_, '_> {
     /// sets (rules M, Ac, Bc of Fig. 9).
     ///
     /// Returns `false` when a straggler question suspended on a
-    /// suspending session; the half-updated frontier is then irrelevant
-    /// because the resumption re-runs the whole position.
+    /// suspending session.  Nothing of layer 1 has changed then (the
+    /// vertex's own slot is written only once it is decided), and the
+    /// resumption re-evaluates this vertex from its cached candidates.
     fn eval_close_vertex(
         &mut self,
         t: StateId,

@@ -345,6 +345,8 @@ impl<O: Oracle> Matcher<O> {
     /// needing an answer the session does not have suspends, and the
     /// caller answers every deferred key of every parked evaluation in one
     /// round trip ([`BatchSession::flush_deferred`]) before resuming them.
+    /// While the backend's round trips are quicker than parking costs, the
+    /// session asks inline and nothing suspends.
     pub fn deferring_session(&self) -> BatchSession<'_> {
         BatchSession::deferring(&self.oracle)
     }

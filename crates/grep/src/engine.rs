@@ -22,6 +22,8 @@
 //! round trip ([`BatchSession::flush_deferred`]), so round trips follow
 //! the deepest line of a chunk rather than the sum of its lines; on the
 //! overlapped plane it waits for the resolver pool to publish answers.
+//! A synchronous session whose backend answers quicker than parking a
+//! line costs asks inline instead, and its lines do not park.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -412,7 +414,8 @@ struct Parked<'l> {
 /// * a deferring session (the synchronous plane) asks the union of the
 ///   keys the parked lines wait on in one round trip
 ///   ([`BatchSession::flush_deferred`]) — every parked line then has the
-///   answers it parked on;
+///   answers it parked on, and keeps them until it completes the batch
+///   that needs them;
 /// * an overlapped session blocks until the resolver pool publishes
 ///   another batch, but only after a round in which no line completed and
 ///   none advanced past its parked position.
@@ -447,7 +450,13 @@ where
     let mut stalled = None;
     while !parked.is_empty() {
         match (pool, stalled) {
-            (None, _) => session.flush_deferred(),
+            (None, _) => {
+                // Every parked line queued a key when it parked, and a
+                // flushed key stays readable until its line completes the
+                // batch that needs it, so each round asks something new.
+                let asked = session.flush_deferred();
+                assert!(asked > 0, "a synchronous round with nothing to ask");
+            }
             (Some(pool), Some(seen)) => {
                 pool.wait_for_progress(seen);
             }
@@ -481,7 +490,9 @@ where
                         duration: line_start.elapsed(),
                         oracle: OracleStats::default(),
                     };
-                    let fault = fault.or_else(take_fault);
+                    // Take the resume's fault even when the line parked
+                    // with one, so it cannot leak to the next line.
+                    let fault = fault.or(take_fault());
                     let (keep, abort) = apply_fault_policy(policy, record, fault, outcome);
                     if let Some(record) = keep {
                         records.push((record, extra));
@@ -496,7 +507,7 @@ where
                         index,
                         line,
                         state,
-                        fault: fault.or_else(take_fault),
+                        fault: fault.or(take_fault()),
                     });
                 }
             }
@@ -834,6 +845,7 @@ mod tests {
     use super::*;
     use semre_oracle::{Instrumented, SimLlmOracle};
     use semre_syntax::parse;
+    use semre_workloads::DelayOracle;
 
     fn lines() -> Vec<String> {
         vec![
@@ -1047,13 +1059,24 @@ mod tests {
         assert!(stats.backend_keys > 0);
     }
 
+    /// A matcher whose backend takes a millisecond per round trip, long
+    /// enough for synchronous sessions to park lines and share flushes.
+    fn slow_matcher(pattern: &str) -> Matcher<Instrumented<DelayOracle<SimLlmOracle>>> {
+        let backend = DelayOracle::sleeping(
+            SimLlmOracle::new(),
+            Duration::from_millis(1),
+            Duration::ZERO,
+        );
+        Matcher::new(parse(pattern).unwrap(), Instrumented::new(backend))
+    }
+
     /// On the synchronous plane every line of a chunk parks on its next
     /// missing key and the chunk asks the union in one round trip, so a
     /// chunk costs as many round trips as its deepest line, not the sum
     /// over its lines — with the same keys, answers and verdicts.
     #[test]
     fn synchronous_chunks_take_as_many_round_trips_as_their_deepest_line() {
-        let m = matcher();
+        let m = slow_matcher("Subject: .*(?<Medicine name>: .+).*");
         let corpus: Vec<String> = [
             "Subject: cheap viagra now",
             "Subject: more tramadol deals today",
@@ -1091,6 +1114,47 @@ mod tests {
             report.records.iter().map(|r| r.matched).collect()
         };
         assert_eq!(verdicts(&chunk), verdicts(&sequential));
+    }
+
+    /// Nested queries enlist their keys in the collect phase, so when a
+    /// top-level query closes at the same position and comes first in the
+    /// close order, a resumed line asks its key together with the ones it
+    /// parked on.  That mixed batch parks again, and the line must still
+    /// find the keys it parked on after the next flush.
+    #[test]
+    fn resumed_lines_keep_their_flushed_keys_across_another_park() {
+        let corpus: Vec<String> = [
+            "Subject: cheap viagra now",
+            "Subject: weekly report attached",
+            "Subject: see paris hilton in houston",
+        ]
+        .iter()
+        .map(|line| (*line).to_owned())
+        .collect();
+        let top = "(?<Medicine name>: [a-z]+)";
+        for nested in [
+            "(?<Celebrity>: (?<City>: [a-z]+) [a-z]+)",
+            "(?<Celebrity>: [a-z]+ (?<City>: [a-z]+))",
+        ] {
+            for (first, second) in [(top, nested), (nested, top)] {
+                let pattern = format!("Subject: (.* )?({first}|{second})( .*)?");
+                let m = slow_matcher(&pattern);
+                let sequential = scan(&m, &corpus, OracleStats::default, ScanOptions::unlimited());
+                m.oracle().reset();
+                let chunk = scan_lines(&m, &corpus, ScanOptions::batched(corpus.len()));
+                let verdicts = |report: &ScanReport| -> Vec<bool> {
+                    report.records.iter().map(|r| r.matched).collect()
+                };
+                assert_eq!(verdicts(&chunk), verdicts(&sequential), "{pattern}");
+                assert_eq!(verdicts(&chunk)[..2], [true, false], "{pattern}");
+                // Every key reaches the backend once.
+                assert_eq!(
+                    chunk.batch.backend_keys,
+                    m.oracle().stats().calls,
+                    "{pattern}"
+                );
+            }
+        }
     }
 
     #[test]

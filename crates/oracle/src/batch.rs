@@ -30,6 +30,7 @@ use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::time::{Duration, Instant};
 
 use crate::error::{record_fault, take_fault, OracleError};
 use crate::overlap::ResolverPool;
@@ -257,6 +258,18 @@ impl<V: Copy> AnswerStore<V> {
             .entry(key.query.to_owned())
             .or_default()
             .insert(key.text.to_vec(), value);
+    }
+
+    fn get_mut(&mut self, key: &QueryKey<'_>) -> Option<&mut V> {
+        self.map
+            .get_mut(key.query)
+            .and_then(|texts| texts.get_mut(key.text))
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&mut V) -> bool) {
+        for texts in self.map.values_mut() {
+            texts.retain(|_, value| keep(value));
+        }
     }
 
     fn remove(&mut self, key: &QueryKey<'_>) {
@@ -602,54 +615,80 @@ enum Suspend<'o> {
     Defer(Deferred),
 }
 
+/// A backend round trip shorter than this is not worth parking lines
+/// for: a park and its resume cost a few microseconds of bookkeeping per
+/// question (about 7 µs on 800-byte lines), so a deferring session whose
+/// last round trip took less answers its misses inline, as an inline
+/// session would.
+pub(crate) const DEFER_ROUND_TRIP_FLOOR: Duration = Duration::from_micros(50);
+
 /// The misses of a deferring session: the keys asked since the last
-/// flush, and the answers that flush brought back.
+/// flush, the answers flushes brought back that lines still need, and how
+/// long the last backend round trip took.
 #[derive(Debug, Default)]
 struct Deferred {
     /// Keys missed since the last flush, in the order they were asked
     /// (two lines missing one key queue it twice; the flush asks it once).
     queued: Vec<(String, Vec<u8>)>,
-    /// The last flush's answers, `None` for a key whose round trip
-    /// failed.  The evaluations that asked a key read it from here into
-    /// the session store; the next flush drops what is left, so a failed
-    /// key is asked again if a later line needs it.
-    landed: AnswerStore<Option<bool>>,
-    /// The last flush's fault, recorded again for every evaluation that
-    /// reads one of its failed keys.
+    /// Flushed answers not yet in the session store.  The first batch
+    /// that completes without a fault moves the entries it read into the
+    /// store.  An entry a line read before parking again is held past
+    /// the next flush (that line reads it once more on resume), so a key
+    /// that landed is never asked twice for one line; the next flush
+    /// drops every other entry, so a failed key nobody holds is asked
+    /// again if a later line needs it.
+    landed: AnswerStore<Landed>,
+    /// The latest failed flush's fault, recorded again for every
+    /// evaluation that reads one of its failed keys.
     fault: Option<OracleError>,
+    /// The last backend round trip's duration; `None` before the first,
+    /// which is deferred.
+    last_round_trip: Option<Duration>,
+}
+
+/// One flushed key of a [`Deferred`] session.
+#[derive(Clone, Copy, Debug)]
+struct Landed {
+    /// The answer, `None` when the key's round trip failed.
+    answer: Option<bool>,
+    /// Read since the last flush by a batch that then parked.
+    held: bool,
 }
 
 impl Deferred {
-    /// The answers to `misses`, or `None` after queueing every miss that
-    /// needs the next flush.  A miss comes from the last flush's answers;
-    /// or, when `oracle` prices it at zero (already in the oracle's own
-    /// memory: a shared session's store, a tier memo), from `oracle`
-    /// inline, since waiting a round trip for it would buy nothing.
-    /// Reading a failed key yields a placeholder `false` and records the
-    /// flush's fault.
-    fn answers(&mut self, misses: &[QueryKey<'_>], oracle: &dyn Oracle) -> Option<Vec<bool>> {
+    /// Whether misses should wait for the next flush: while the backend's
+    /// round trips take long enough to be worth sharing between lines.
+    fn worth_deferring(&self) -> bool {
+        self.last_round_trip
+            .map_or(true, |took| took >= DEFER_ROUND_TRIP_FLOOR)
+    }
+
+    /// The answers to `misses` plus whether they took an inline backend
+    /// round trip, or `None` after queueing every miss that needs the next
+    /// flush.  A miss comes from the flushed answers; or, when `oracle`
+    /// prices it at zero (already in the oracle's own memory: a shared
+    /// session's store, a tier memo) or round trips are too quick to be
+    /// worth deferring, from `oracle` inline.  Reading a failed key
+    /// yields a placeholder `false` and records the flush's fault, also
+    /// when the batch then parks, so the line carries the fault.
+    fn answers(
+        &mut self,
+        misses: &[QueryKey<'_>],
+        oracle: &dyn Oracle,
+    ) -> Option<(Vec<bool>, bool)> {
+        let defer = self.worth_deferring();
         let mut answers = vec![false; misses.len()];
-        let (mut free, mut queued, mut failed) = (Vec::new(), false, false);
+        let (mut read, mut ask, mut queue, mut failed) =
+            (Vec::new(), Vec::new(), Vec::new(), false);
         for (i, key) in misses.iter().enumerate() {
             match self.landed.get(key) {
-                Some(answer) => {
-                    failed |= answer.is_none();
-                    answers[i] = answer.unwrap_or(false);
+                Some(landed) => {
+                    failed |= landed.answer.is_none();
+                    answers[i] = landed.answer.unwrap_or(false);
+                    read.push(i);
                 }
-                None if oracle.question_cost(key.query, key.text) == 0 => free.push(i),
-                None => {
-                    queued = true;
-                    self.queued.push((key.query.to_owned(), key.text.to_vec()));
-                }
-            }
-        }
-        if queued {
-            return None;
-        }
-        if !free.is_empty() {
-            let keys: Vec<QueryKey<'_>> = free.iter().map(|&i| misses[i]).collect();
-            for (&i, answer) in free.iter().zip(resolve_cost_ordered(oracle, &keys)) {
-                answers[i] = answer;
+                None if !defer || oracle.question_cost(key.query, key.text) == 0 => ask.push(i),
+                None => queue.push(i),
             }
         }
         if failed {
@@ -659,7 +698,36 @@ impl Deferred {
                     .unwrap_or_else(|| OracleError::fatal("deferred round trip failed")),
             );
         }
-        Some(answers)
+        if !queue.is_empty() {
+            for &i in &read {
+                if let Some(landed) = self.landed.get_mut(&misses[i]) {
+                    landed.held = true;
+                }
+            }
+            self.queued.extend(
+                queue
+                    .iter()
+                    .map(|&i| (misses[i].query.to_owned(), misses[i].text.to_vec())),
+            );
+            return None;
+        }
+        if !ask.is_empty() {
+            let keys: Vec<QueryKey<'_>> = ask.iter().map(|&i| misses[i]).collect();
+            let started = Instant::now();
+            for (&i, answer) in ask.iter().zip(resolve_cost_ordered(oracle, &keys)) {
+                answers[i] = answer;
+            }
+            if !defer {
+                self.last_round_trip = Some(started.elapsed());
+            }
+        }
+        // Without a fault the caller stores every answer of the batch.
+        if !read.is_empty() && !crate::error::fault_pending() {
+            for &i in &read {
+                self.landed.remove(&misses[i]);
+            }
+        }
+        Some((answers, !defer && !ask.is_empty()))
     }
 }
 
@@ -685,7 +753,11 @@ impl<'o> BatchSession<'o> {
     /// for all the lines parked on the session, with no threads.  Misses
     /// that `oracle` prices at zero ([`Oracle::question_cost`]: already in
     /// a shared session's store or a tier memo) cost no round trip, so
-    /// they are answered inline instead of parking the line.
+    /// they are answered inline instead of parking the line.  So are all
+    /// misses while the backend's last round trip took less than
+    /// `DEFER_ROUND_TRIP_FLOOR` (50 µs): sharing a round trip that
+    /// quick saves less than parking the lines costs.  The first round
+    /// trip is always deferred.
     pub fn deferring(oracle: &'o dyn Oracle) -> Self {
         BatchSession::with(oracle, Suspend::Defer(Deferred::default()))
     }
@@ -734,7 +806,8 @@ impl<'o> BatchSession<'o> {
     ///
     /// Counters only move when the batch completes, so a retried batch is
     /// counted once — exactly as an inline session would count it.  A
-    /// deferring session counts its round trips (`batches`) at the flush.
+    /// deferring session counts its deferred round trips (`batches`) at
+    /// the flush.
     pub fn try_resolve(&mut self, batch: &[QueryKey<'_>]) -> Option<Vec<bool>> {
         self.resolve_via(batch, true)
     }
@@ -768,8 +841,9 @@ impl<'o> BatchSession<'o> {
                     .collect()
             }
             Suspend::Defer(deferred) if suspend => {
-                round_trip = false;
-                deferred.answers(&plan.misses, self.oracle)?
+                let (answers, inline) = deferred.answers(&plan.misses, self.oracle)?;
+                round_trip = inline;
+                answers
             }
             _ => resolve_cost_ordered(self.oracle, &plan.misses),
         };
@@ -800,18 +874,21 @@ impl<'o> BatchSession<'o> {
 
     /// Answers every key a [`deferring`](BatchSession::deferring) session
     /// has queued since the last flush in one cost-ordered round trip
-    /// (duplicates asked once), and drops what the previous flush brought
-    /// back.  The parked evaluations then read their answers through
-    /// [`try_resolve`](BatchSession::try_resolve).  If the round trip
-    /// faults, its keys are marked failed for the evaluations that asked
-    /// them, the fault is taken off the calling thread, and no placeholder
-    /// enters the session store.  Does nothing on other sessions.
-    pub fn flush_deferred(&mut self) {
+    /// (duplicates asked once), and returns how many keys it asked.  The
+    /// parked evaluations then read their answers through
+    /// [`try_resolve`](BatchSession::try_resolve).  The previous flush's
+    /// answers are dropped, except those a line read before parking again.
+    /// If the round trip faults, its keys are marked failed for the
+    /// evaluations that asked them, the fault is taken off the calling
+    /// thread, and no placeholder enters the session store.  Does nothing
+    /// on other sessions.
+    pub fn flush_deferred(&mut self) -> usize {
         let Suspend::Defer(deferred) = &mut self.suspend else {
-            return;
+            return 0;
         };
-        deferred.landed.clear();
-        deferred.fault = None;
+        deferred
+            .landed
+            .retain(|landed| std::mem::take(&mut landed.held));
         let queued = std::mem::take(&mut deferred.queued);
         let keys: Vec<QueryKey<'_>> = queued
             .iter()
@@ -819,15 +896,28 @@ impl<'o> BatchSession<'o> {
             .collect();
         let plan = BatchPlan::classify(&keys, |_| None);
         if plan.misses.is_empty() {
-            return;
+            return 0;
         }
+        let started = Instant::now();
         let answers = resolve_cost_ordered(self.oracle, &plan.misses);
+        deferred.last_round_trip = Some(started.elapsed());
         self.stats.batches += 1;
-        deferred.fault = take_fault();
-        let failed = deferred.fault.is_some();
-        for (key, answer) in plan.misses.iter().zip(answers) {
-            deferred.landed.insert(key, (!failed).then_some(answer));
+        let fault = take_fault();
+        let failed = fault.is_some();
+        if failed {
+            deferred.fault = fault;
         }
+        for (key, answer) in plan.misses.iter().zip(answers) {
+            let answer = (!failed).then_some(answer);
+            deferred.landed.insert(
+                key,
+                Landed {
+                    answer,
+                    held: false,
+                },
+            );
+        }
+        plan.misses.len()
     }
 
     /// Batch-plane counters accumulated by this session.
@@ -1575,9 +1665,11 @@ mod tests {
         use crate::error::{record_fault, take_fault, OracleError};
         use std::sync::atomic::AtomicU64;
 
-        // The first round trip faults; later ones answer.
+        // The first round trip faults; later ones answer.  Each takes long
+        // enough for the session to keep deferring.
         let calls = AtomicU64::new(0);
         let oracle = Instrumented::new(PredicateOracle::new(|_, t: &[u8]| {
+            std::thread::sleep(DEFER_ROUND_TRIP_FLOOR);
             if calls.fetch_add(1, Relaxed) == 0 {
                 record_fault(OracleError::transient("backend down"));
                 return false;
@@ -1616,6 +1708,76 @@ mod tests {
         // `resolve` still answers inline.
         assert_eq!(session.resolve(&keys(&[("q", b"ax")])), vec![true]);
         assert_eq!(session.stats().batches, 3);
+    }
+
+    /// A line that resumes with a batch mixing flushed keys and a new miss
+    /// parks again; the flushed keys must still be there after the next
+    /// flush, or it would park forever, paying a round trip each time.
+    #[test]
+    fn flushed_keys_outlive_the_flush_while_their_line_parks_again() {
+        let oracle = Instrumented::new(PredicateOracle::new(|_, t: &[u8]| {
+            std::thread::sleep(DEFER_ROUND_TRIP_FLOOR);
+            t == b"a"
+        }));
+        let mut session = BatchSession::deferring(&oracle);
+        let (a, ab) = (keys(&[("q", b"a")]), keys(&[("q", b"a"), ("q", b"b")]));
+        assert_eq!(session.try_resolve(&a), None);
+        assert_eq!(session.flush_deferred(), 1);
+        assert_eq!(session.try_resolve(&ab), None);
+        assert_eq!(session.flush_deferred(), 1);
+        assert_eq!(session.try_resolve(&ab), Some(vec![true, false]));
+        assert_eq!(oracle.stats().calls, 2);
+        assert_eq!(oracle.batches(), 2);
+        // Read by a completed batch, the keys are the store's from now on.
+        assert_eq!(session.flush_deferred(), 0);
+        assert_eq!(session.try_resolve(&ab), Some(vec![true, false]));
+        assert_eq!(oracle.stats().calls, 2);
+    }
+
+    /// The same with a backend that always fails: the line reads the
+    /// failed key before parking again, so it records the fault then, and
+    /// finishes after the second round trip with placeholders.
+    #[test]
+    fn failed_keys_outlive_the_flush_while_their_line_parks_again() {
+        use crate::error::{record_fault, take_fault, OracleError};
+
+        let oracle = Instrumented::new(PredicateOracle::new(|_, _: &[u8]| {
+            std::thread::sleep(DEFER_ROUND_TRIP_FLOOR);
+            record_fault(OracleError::transient("backend down"));
+            false
+        }));
+        let mut session = BatchSession::deferring(&oracle);
+        let (a, ab) = (keys(&[("q", b"a")]), keys(&[("q", b"a"), ("q", b"b")]));
+        assert_eq!(session.try_resolve(&a), None);
+        session.flush_deferred();
+        assert!(take_fault().is_none(), "the flush takes its own fault");
+        assert_eq!(session.try_resolve(&ab), None);
+        assert!(take_fault().is_some(), "a parked read of a failed key");
+        session.flush_deferred();
+        assert_eq!(session.try_resolve(&ab), Some(vec![false, false]));
+        assert!(take_fault().is_some());
+        assert_eq!(oracle.stats().calls, 2);
+        assert!(session.is_empty());
+    }
+
+    /// A backend whose round trips are quicker than parking a line is
+    /// asked inline once the session has timed one round trip.
+    #[test]
+    fn deferring_sessions_answer_inline_when_round_trips_are_quick() {
+        let oracle = Instrumented::new(PredicateOracle::new(|_, t: &[u8]| t == b"a"));
+        let mut session = BatchSession::deferring(&oracle);
+        assert_eq!(session.try_resolve(&keys(&[("q", b"a")])), None);
+        // A descheduled round trip can time as slow; the next is quick.
+        let texts: Vec<Vec<u8>> = (0..10).map(|i| vec![b'b', i]).collect();
+        let inline = texts.iter().position(|text| {
+            session.flush_deferred();
+            let key = [QueryKey::new("q", text)];
+            session.try_resolve(&key).is_some()
+        });
+        let inline = inline.expect("a quick backend is asked inline");
+        // Every flush and every inline answer is one round trip.
+        assert_eq!(session.stats().batches, inline as u64 + 2);
+        assert_eq!(oracle.batches(), session.stats().batches);
     }
 
     #[test]

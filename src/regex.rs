@@ -283,7 +283,8 @@ impl SemRegex {
     /// of blocking.  On an overlapped handle the session submits its
     /// misses to the resolver pool; otherwise it defers them until the
     /// caller's [`BatchSession::flush_deferred`], which asks the keys of
-    /// every test parked on the session in one round trip.  `None` for the
+    /// every test parked on the session in one round trip (or asks inline
+    /// while the backend answers quicker than parking costs).  `None` for the
     /// DP baseline, which always resolves inline.
     pub fn suspending_session(&self) -> Option<BatchSession<'_>> {
         match (&self.engine, self.pool.as_deref()) {
