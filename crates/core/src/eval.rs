@@ -39,11 +39,27 @@
 //! key only when the per-call path would provably issue that question, so
 //! batched evaluation issues exactly the same logical requests as per-call
 //! evaluation, and the ledger's unique-key count can only be smaller.
+//!
+//! # The question schedule of a parked line
+//!
+//! On a suspending session (a resolver pool, or a deferring session whose
+//! backend round trips are slow enough to share), a line whose answers are
+//! missing parks, and each park costs a round trip.  Asked position by
+//! position, a line's round trips add up the candidate chains of all its
+//! close vertices.  When no open or close state of the SNFA reaches an
+//! open state ([`GadgetTopology::answer_free_opens`]), the candidates of
+//! every close vertex are fixed before any answer arrives, so the first
+//! park sweeps the rest of the line into a [`Schedule`] and asks the
+//! chains breadth-first, one round per group depth: round trips follow
+//! the longest chain.  Each chain still asks exactly its prefix up to the
+//! first true answer, so the keys, the counts and the verdict do not
+//! change.  Other patterns, search mode, inline sessions and the per-call
+//! plane keep the per-position schedule.
 
 use std::sync::Mutex;
 
 use semre_automata::{Label, Snfa, StateId};
-use semre_oracle::{BatchSession, Oracle, QueryKey, QueryLedger};
+use semre_oracle::{BatchSession, LedgerSlot, Oracle, QueryKey, QueryLedger};
 use semre_syntax::QueryName;
 
 use crate::topology::GadgetTopology;
@@ -285,6 +301,9 @@ pub(crate) struct EvalScratch {
     loq: LoqTable,
     /// Staging buffer for backref merges at open vertices.
     refs_buf: Vec<OpenRef>,
+    /// The previous position's layer 3 of a schedule sweep, which must
+    /// leave `prev3` to the forward pass.
+    sweep: Layer,
 }
 
 /// A lock-guarded stack of [`EvalScratch`] buffers.  `Matcher` keeps one so
@@ -332,16 +351,18 @@ type LedgerKey = (u32, u32, u32);
 /// suspension computed (the alive states of the `prev3` frontier with
 /// their backreference sets, the LOQ arena and the packed co-reachability
 /// bitmap), the question ledger (whose pending slots are exactly the keys
-/// the session is waiting on), and the position and apply-phase place to
-/// continue at.  The other buffers go back to the [`ScratchPool`] while
-/// the line is parked, and the kept ones are moved, never copied, so a
-/// park or a resume costs `O(states)` whatever the line length.
+/// the session is waiting on), the position and apply-phase place to
+/// continue at, and the line's question [`Schedule`] once it has one.
+/// The other buffers go back to the [`ScratchPool`] while the line is
+/// parked, and the kept ones are moved, never copied, so a park or a
+/// resume costs `O(states)` whatever the line length.
 ///
 /// Resuming re-enters the position loop at [`position`](Self::position),
 /// at the close vertex that suspended, instead of replaying the line from
 /// its first byte — that is what makes a parked line cheap to resume: a
 /// line that suspends at `k` flush points costs `O(|w|)` total evaluator
-/// work across all resumptions, not `O(k · |w|)`.
+/// work across all resumptions, not `O(k · |w|)`.  A line with a schedule
+/// first finishes the schedule's rounds, one per resume.
 #[derive(Debug)]
 pub struct SuspendedEval {
     frontier: Vec<(StateId, Vec<OpenRef>)>,
@@ -353,6 +374,7 @@ pub struct SuspendedEval {
     pos: usize,
     apply: Option<ApplyState>,
     search: Option<SearchKind>,
+    schedule: Option<Schedule>,
 }
 
 impl SuspendedEval {
@@ -438,6 +460,173 @@ fn flush_plane(plane: &mut Plane<'_, '_, '_>, input: &[u8]) -> bool {
     )
 }
 
+/// One close vertex's question chain in a [`Schedule`]: its candidate
+/// groups, as open positions in ascending order (the order the Fig. 9
+/// apply phase asks them in), stored in `Schedule::opens[start..end]`.
+#[derive(Debug)]
+struct Chain {
+    /// The close state and its position.
+    state: StateId,
+    close: u32,
+    /// The ledger query id of the close state.
+    qid: u32,
+    start: u32,
+    end: u32,
+    /// The next group to ask; every group before it has its answer.
+    next: u32,
+    /// Whether another chain asks the same query at the same position,
+    /// so the two may share keys.
+    shared: bool,
+}
+
+/// The questions a parked line has left, resolved breadth-first.
+///
+/// When no open or close state reaches an open state
+/// ([`GadgetTopology::answer_free_opens`]), the candidate groups of every
+/// close vertex are fixed before any question is answered: an oracle
+/// answer can make a close vertex alive, but a close vertex never makes an
+/// open one alive, and closes carry no backreferences onward.  So the
+/// first time a line parks, one sweep over the rest of the line (layers
+/// 1–3 as in the forward pass, every close vertex left dead) records each
+/// close vertex's groups as a chain.  Alive at a close vertex is an OR
+/// over its groups, and the lazy rule asks them in order up to the first
+/// true answer; the chains of different vertices are independent, so
+/// every round asks the next group of every chain still undecided (every
+/// group at once under eager discharge) in one ledger flush.  A line then
+/// takes as many round trips as its longest chain instead of the sum of
+/// its chains, and asks exactly the keys the forward pass would: each
+/// chain asks its own prefix whatever the order.  The answers stay here,
+/// with the line, until the forward pass reads them.
+#[derive(Debug, Default)]
+struct Schedule {
+    chains: Vec<Chain>,
+    /// Open positions of every chain's groups, back to back.
+    opens: Vec<u32>,
+    /// The answer of each group in `opens`, once asked.
+    answers: Vec<Option<bool>>,
+    /// Chains that still have a group to ask, in chain order.
+    live: Vec<usize>,
+    /// The groups the round in flight asks, with their ledger slots.
+    asked: Vec<(usize, LedgerSlot)>,
+}
+
+impl Schedule {
+    /// Adds the chain of the close vertex `(state, close)`.
+    fn push(&mut self, state: StateId, close: usize, qid: u32, groups: &[(usize, bool)]) {
+        let start = self.opens.len() as u32;
+        self.opens
+            .extend(groups.iter().map(|&(open, _)| open as u32));
+        self.chains.push(Chain {
+            state,
+            close: close as u32,
+            qid,
+            start,
+            end: self.opens.len() as u32,
+            next: start,
+            shared: false,
+        });
+    }
+
+    /// Readies a swept schedule for its rounds: marks the chains that share
+    /// a query and a position, and makes every chain live.
+    fn seal(&mut self) {
+        let mut from = 0;
+        while from < self.chains.len() {
+            let close = self.chains[from].close;
+            let to = from + self.chains[from..].partition_point(|c| c.close == close);
+            for i in from..to {
+                let qid = self.chains[i].qid;
+                self.chains[i].shared = (from..to).any(|j| j != i && self.chains[j].qid == qid);
+            }
+            from = to;
+        }
+        self.answers = vec![None; self.opens.len()];
+        self.live = (0..self.chains.len()).collect();
+    }
+
+    /// The chains closing at `close`.
+    fn chains_at(&self, close: u32) -> impl Iterator<Item = (usize, &Chain)> {
+        let from = self.chains.partition_point(|c| c.close < close);
+        self.chains[from..]
+            .iter()
+            .take_while(move |c| c.close == close)
+            .enumerate()
+            .map(move |(offset, c)| (from + offset, c))
+    }
+
+    /// The answer of the group at `open` in `chain`, if it has been asked.
+    fn group_answer(&self, chain: &Chain, open: u32) -> Option<bool> {
+        let groups = &self.opens[chain.start as usize..chain.end as usize];
+        let index = groups.binary_search(&open).ok()?;
+        self.answers[chain.start as usize + index]
+    }
+
+    /// The answer the forward pass reads for the question of the close
+    /// vertex `(t, close_pos)` about the opens at `open_pos`.
+    fn answer(&self, t: StateId, open_pos: usize, close_pos: usize) -> Option<bool> {
+        let (_, chain) = self
+            .chains_at(close_pos as u32)
+            .find(|(_, c)| c.state == t)?;
+        self.group_answer(chain, open_pos as u32)
+    }
+
+    /// Enlists the next round: walks every live chain past the groups
+    /// whose answers are known (from an earlier round, from a chain
+    /// sharing the key, or from the ledger) and enlists its next group —
+    /// or, under eager discharge, all its remaining groups.  A chain
+    /// leaves the live set once it has asked its last group or, under
+    /// lazy discharge, found a true answer.
+    fn enlist_round(&mut self, ledger: &mut QueryLedger<LedgerKey>, lazy: bool) {
+        let mut kept = 0;
+        for k in 0..self.live.len() {
+            let i = self.live[k];
+            if self.advance(i, ledger, lazy) {
+                self.live[kept] = i;
+                kept += 1;
+            }
+        }
+        self.live.truncate(kept);
+    }
+
+    /// [`enlist_round`](Self::enlist_round) for chain `i`; returns
+    /// whether the chain stays live.
+    fn advance(&mut self, i: usize, ledger: &mut QueryLedger<LedgerKey>, lazy: bool) -> bool {
+        loop {
+            let chain = &self.chains[i];
+            if chain.next == chain.end {
+                return false;
+            }
+            let group = chain.next as usize;
+            let open = self.opens[group];
+            let known = self.answers[group].or_else(|| {
+                if !chain.shared {
+                    return None;
+                }
+                self.chains_at(chain.close)
+                    .filter(|&(j, c)| j != i && c.qid == chain.qid)
+                    .find_map(|(_, c)| self.group_answer(c, open))
+            });
+            let answer = known.or_else(|| {
+                let slot = ledger.enlist((chain.qid, open, chain.close));
+                let answer = ledger.answer(slot);
+                if answer.is_none() {
+                    self.asked.push((group, slot));
+                }
+                answer
+            });
+            match answer {
+                Some(answer) => self.answers[group] = Some(answer),
+                None if lazy => return true,
+                None => {}
+            }
+            self.chains[i].next += 1;
+            if answer == Some(true) && lazy {
+                return false;
+            }
+        }
+    }
+}
+
 /// Evaluates the query graph of `snfa` over `input`, consulting `oracle`
 /// for refinement queries.  With `options.batched` a fresh, single-line
 /// [`BatchSession`] is used; [`evaluate_in_session`] shares one across
@@ -470,6 +659,7 @@ pub(crate) fn evaluate_with_scratch(
         best: None,
         suspended_at: None,
         apply: None,
+        schedule: None,
     }
     .run(scratch)
 }
@@ -518,6 +708,7 @@ pub(crate) fn evaluate_search_with_scratch(
         best: None,
         suspended_at: None,
         apply: None,
+        schedule: None,
     }
     .run(scratch)
 }
@@ -557,6 +748,7 @@ pub(crate) fn evaluate_search_in_session<'a>(
         best: None,
         suspended_at: None,
         apply: None,
+        schedule: None,
     }
     .run(scratch)
 }
@@ -594,6 +786,7 @@ pub(crate) fn evaluate_in_session<'a>(
         best: None,
         suspended_at: None,
         apply: None,
+        schedule: None,
     }
     .run(scratch)
 }
@@ -618,13 +811,13 @@ pub(crate) fn evaluate_resumable<'a>(
     scratch: &mut EvalScratch,
     parked: Option<Box<SuspendedEval>>,
 ) -> Result<EvalReport, Box<SuspendedEval>> {
-    let (ledger, report, best, search, resume) = match parked {
+    let (ledger, report, best, search, resume, schedule) = match parked {
         None => {
             let report = EvalReport {
                 positions: input.len() + 1,
                 ..EvalReport::default()
             };
-            (QueryLedger::new(), report, None, None, None)
+            (QueryLedger::new(), report, None, None, None, None)
         }
         Some(parked) => {
             let SuspendedEval {
@@ -637,12 +830,13 @@ pub(crate) fn evaluate_resumable<'a>(
                 pos,
                 apply,
                 search,
+                schedule,
             } = *parked;
             scratch.prev3.ensure(snfa.num_states());
             scratch.prev3.restore(frontier);
             scratch.loq = loq;
             scratch.coreach = coreach;
-            (ledger, report, best, search, Some((pos, apply)))
+            (ledger, report, best, search, Some((pos, apply)), schedule)
         }
     };
     let oracle = session.backend();
@@ -662,41 +856,62 @@ pub(crate) fn evaluate_resumable<'a>(
         best,
         suspended_at: None,
         apply: None,
+        schedule,
     };
-    let resume_at = resume.map(|(pos, apply)| {
+    let mut resume_at = resume.map(|(pos, apply)| {
         evaluator.apply = apply;
         pos
     });
-    // The completion half mirrors [`Evaluator::run`]; the suspension half
-    // moves the ledger and the kept buffers into a [`SuspendedEval`].
-    let mut report = evaluator.run_inner(scratch, resume_at);
-    if let Some(pos) = evaluator.suspended_at {
-        let plane = evaluator
-            .plane
-            .take()
-            .expect("resumable evaluations run on the batched plane");
-        return Err(Box::new(SuspendedEval {
-            frontier: scratch.prev3.take_alive(),
-            loq: std::mem::take(&mut scratch.loq),
-            coreach: std::mem::take(&mut scratch.coreach),
-            ledger: plane.ledger,
-            report: evaluator.report,
-            best: evaluator.best,
-            pos,
-            apply: evaluator.apply,
-            search: evaluator.search,
-        }));
+    // The first park on a session whose round trips are worth waiting for
+    // sweeps the rest of the line into a schedule (where the pattern
+    // allows one), whose rounds then run before the forward pass goes on.
+    let pos = loop {
+        if !evaluator.run_schedule() {
+            break resume_at.expect("only a parked evaluation has a schedule");
+        }
+        let report = evaluator.run_inner(scratch, resume_at);
+        let Some(pos) = evaluator.suspended_at else {
+            return Ok(evaluator.finish(report));
+        };
+        if evaluator.schedule.is_some() || !evaluator.schedulable() {
+            break pos;
+        }
+        evaluator.schedule = Some(evaluator.sweep(pos, scratch));
+        evaluator.suspended_at = None;
+        resume_at = Some(pos);
+    };
+    // The suspension moves the ledger and the kept buffers into a
+    // [`SuspendedEval`].
+    let plane = evaluator
+        .plane
+        .take()
+        .expect("resumable evaluations run on the batched plane");
+    Err(Box::new(SuspendedEval {
+        frontier: scratch.prev3.take_alive(),
+        loq: std::mem::take(&mut scratch.loq),
+        coreach: std::mem::take(&mut scratch.coreach),
+        ledger: plane.ledger,
+        report: evaluator.report,
+        best: evaluator.best,
+        pos,
+        apply: evaluator.apply,
+        search: evaluator.search,
+        schedule: evaluator.schedule,
+    }))
+}
+
+/// The co-reachability test of a pass: whether the vertex `(state, layer,
+/// pos)` can reach `end`, read from the packed bits of
+/// [`Evaluator::co_reachability`] (always `true` without pruning).
+fn coreach_filter(
+    bits: &[u64],
+    states: usize,
+    prune: bool,
+) -> impl Fn(usize, StateId, usize) -> bool + '_ {
+    move |layer, state, pos| {
+        let bit = ((pos - 1) * 3 + (layer - 1)) * states + state;
+        !prune || bits[bit / 64] & (1 << (bit % 64)) != 0
     }
-    if evaluator.search.is_some() {
-        report.span = evaluator.best;
-        report.matched = evaluator.best.is_some();
-    }
-    if let Some(plane) = &evaluator.plane {
-        report.unique_keys = plane.ledger.unique_keys();
-        report.batches = plane.ledger.stats().batches;
-    }
-    report.keys_deduped = report.oracle_calls.saturating_sub(report.unique_keys);
-    Ok(report)
 }
 
 struct Evaluator<'a, 's, 'o> {
@@ -720,6 +935,9 @@ struct Evaluator<'a, 's, 'o> {
     /// Where in the apply phase of the resumed position to continue — or,
     /// after a suspension there, where it stopped.
     apply: Option<ApplyState>,
+    /// The question schedule of a resumable evaluation that parked: once
+    /// its rounds are done, the forward pass reads its answers from here.
+    schedule: Option<Schedule>,
 }
 
 /// An apply phase stopped at a straggler question: the close-order index
@@ -757,13 +975,20 @@ impl ApplyState {
 
 impl Evaluator<'_, '_, '_> {
     fn run(mut self, scratch: &mut EvalScratch) -> EvalReport {
-        let mut report = self.run_inner(scratch, None);
+        let report = self.run_inner(scratch, None);
         // A suspended report has no verdict; only the resumable entry
         // points may run on a suspending session.
         assert!(
             self.suspended_at.is_none(),
             "a suspending session suspended a non-resumable evaluation"
         );
+        self.finish(report)
+    }
+
+    /// Completes the report of a finished evaluation: the span of a
+    /// search, and the ledger's key and batch counts (or, on the per-call
+    /// plane, one round trip per request).
+    fn finish(&self, mut report: EvalReport) -> EvalReport {
         if self.search.is_some() {
             report.span = self.best;
             report.matched = self.best.is_some();
@@ -801,6 +1026,7 @@ impl Evaluator<'_, '_, '_> {
             coreach_row,
             loq,
             refs_buf,
+            ..
         } = scratch;
         layer1.ensure(states);
         layer2.ensure(states);
@@ -815,11 +1041,7 @@ impl Evaluator<'_, '_, '_> {
                 self.co_reachability(coreach, coreach_row);
             }
         }
-        let cr: &[u64] = coreach;
-        let allowed = move |layer: usize, state: StateId, pos: usize| -> bool {
-            let bit = ((pos - 1) * 3 + (layer - 1)) * states + state;
-            !prune || cr[bit / 64] & (1 << (bit % 64)) != 0
-        };
+        let allowed = coreach_filter(coreach, states, prune);
 
         // If even the start vertex cannot reach end, the skeleton does not
         // match and no oracle call is needed.  (In search mode each seed is
@@ -864,26 +1086,7 @@ impl Evaluator<'_, '_, '_> {
             // A suspension in the apply phase resumes there, with layer 1
             // and the collect phase's cache as it left them.
             if apply_from.is_none() {
-                // ---- Layer 1: character step (targets are always blank) -----
-                if pos == 1 {
-                    if self.search.is_none() {
-                        layer1.alive[self.snfa.start()] = true;
-                    }
-                } else {
-                    let byte = self.input[pos - 2];
-                    for s in 0..states {
-                        if !prev3.alive[s] {
-                            continue;
-                        }
-                        for &(class, t) in self.snfa.char_out(s) {
-                            if !class.contains(byte) || !allowed(1, t, pos) {
-                                continue;
-                            }
-                            layer1.alive[t] = true;
-                            merge_refs(&mut layer1.backref[t], &prev3.backref[s]);
-                        }
-                    }
-                }
+                self.step_chars(pos, prev3, layer1, &allowed);
 
                 // ---- Search seeds: the implicit `.*` prefix ------------------
                 // Every position seeds the start vertex, tagged with a
@@ -938,42 +1141,7 @@ impl Evaluator<'_, '_, '_> {
                 }
             }
 
-            // ---- Layer 2: E12 copies, then open edges -------------------
-            for s in 0..states {
-                if !allowed(2, s, pos) {
-                    continue;
-                }
-                if matches!(self.snfa.label(s), Label::Open(_)) {
-                    continue; // handled below in topological order
-                }
-                if layer1.alive[s] {
-                    layer2.alive[s] = true;
-                    // Layer 1's set is not read again for non-open states,
-                    // so the copy of the Fig. 9 E12 rule can be a swap — no
-                    // allocation, no element clone.
-                    std::mem::swap(&mut layer2.backref[s], &mut layer1.backref[s]);
-                }
-            }
-            for &t in self.topo.open_order() {
-                if !allowed(2, t, pos) {
-                    continue;
-                }
-                self.eval_open_vertex(t, pos, layer1, layer2, loq, refs_buf);
-            }
-
-            // ---- Layer 3: balanced ε-reach edges -------------------------
-            for t in 0..states {
-                if !allowed(3, t, pos) {
-                    continue;
-                }
-                for &s in self.topo.bal_in(t) {
-                    if !layer2.alive[s] {
-                        continue;
-                    }
-                    layer3.alive[t] = true;
-                    merge_refs(&mut layer3.backref[t], &layer2.backref[s]);
-                }
-            }
+            self.open_and_balance(pos, layer1, layer2, layer3, loq, refs_buf, &allowed);
 
             self.report.vertices_alive += layer1.alive.iter().filter(|&&a| a).count() as u64;
             self.report.vertices_alive += layer2.alive.iter().filter(|&&a| a).count() as u64;
@@ -1038,6 +1206,191 @@ impl Evaluator<'_, '_, '_> {
         self.report
     }
 
+    /// Whether a park may sweep the rest of the line into a [`Schedule`]:
+    /// membership over a pattern whose open vertices do not depend on
+    /// oracle answers, on a session whose round trips are worth waiting
+    /// for.  (A deferring session that has not timed a round trip yet
+    /// parks its lines position by position until it has, so a quick
+    /// backend is known for one before a line sends it a whole round.)
+    fn schedulable(&self) -> bool {
+        self.search.is_none()
+            && self.topo.answer_free_opens()
+            && self
+                .plane
+                .as_ref()
+                .is_some_and(|plane| plane.session.waits_for_round_trips())
+    }
+
+    /// Sweeps positions `from..=|w| + 1` into a [`Schedule`]: layers 1–3
+    /// as the forward pass computes them, from the parked frontier in
+    /// `prev3`, but with every close vertex left dead, recording the
+    /// candidate groups of each close vertex that has candidates.  Leaves
+    /// `prev3`, the LOQ arena and the co-reachability bits as they were.
+    fn sweep(&self, from: usize, scratch: &mut EvalScratch) -> Schedule {
+        let n = self.input.len();
+        let states = self.snfa.num_states();
+        let EvalScratch {
+            layer1,
+            layer2,
+            layer3,
+            prev3,
+            coreach,
+            loq,
+            refs_buf,
+            sweep: prev,
+            ..
+        } = scratch;
+        let table = self
+            .plane
+            .as_ref()
+            .expect("schedules run on the batched plane")
+            .table;
+        let allowed = coreach_filter(coreach, states, self.options.prune_coreachable);
+        prev.ensure(states);
+        for s in (0..states).filter(|&s| prev3.alive[s]) {
+            prev.alive[s] = true;
+            prev.backref[s].extend_from_slice(&prev3.backref[s]);
+        }
+        let mut schedule = Schedule::default();
+        for pos in from..=n + 1 {
+            layer1.clear();
+            layer2.clear();
+            layer3.clear();
+            self.step_chars(pos, prev, layer1, &allowed);
+            for &t in self.topo.close_order() {
+                if !allowed(1, t, pos) {
+                    continue;
+                }
+                let candidates = match self.close_candidates(t, layer1) {
+                    Some(c) if !c.is_empty() => c,
+                    _ => continue,
+                };
+                let qid = table.state_query[t].expect("close states carry a query");
+                schedule.push(t, pos, qid, &self.group_candidates(&candidates, loq));
+                // Rule Bc with no LOQ sets: a close vertex carries no
+                // backreferences, alive or not.
+                layer1.backref[t].clear();
+            }
+            self.open_and_balance(pos, layer1, layer2, layer3, loq, refs_buf, &allowed);
+            if pos <= n {
+                // The forward frontier holds at least these vertices, so
+                // past this point it has no candidates either.
+                if layer3.alive.iter().all(|&a| !a) {
+                    break;
+                }
+                std::mem::swap(prev, layer3);
+            }
+        }
+        debug_assert!(loq.is_empty(), "answer-free opens carry no LOQ sets");
+        schedule.seal();
+        schedule
+    }
+
+    /// Runs the schedule's rounds, one ledger flush each, until every
+    /// chain is decided (`true`, also without a schedule) or a flush
+    /// suspends (`false`: the round stays in flight, and the next call
+    /// retries its flush).
+    fn run_schedule(&mut self) -> bool {
+        let lazy = self.options.lazy_oracle;
+        let (Some(schedule), Some(plane)) = (&mut self.schedule, &mut self.plane) else {
+            return true;
+        };
+        loop {
+            if schedule.asked.is_empty() {
+                schedule.enlist_round(&mut plane.ledger, lazy);
+                if schedule.asked.is_empty() && plane.ledger.pending() == 0 {
+                    return true;
+                }
+            }
+            if !flush_plane(plane, self.input) {
+                return false;
+            }
+            for (group, slot) in schedule.asked.drain(..) {
+                schedule.answers[group] = plane.ledger.answer(slot);
+            }
+            plane.ledger.forget();
+        }
+    }
+
+    /// Layer 1 of `pos` before its close edges: the start vertex at the
+    /// first position (anchored evaluation), otherwise the character step
+    /// from `prev`, layer 3 of `pos - 1`.  Character-step targets are
+    /// always blank states.
+    fn step_chars<F>(&self, pos: usize, prev: &Layer, layer1: &mut Layer, allowed: &F)
+    where
+        F: Fn(usize, StateId, usize) -> bool,
+    {
+        if pos == 1 {
+            if self.search.is_none() {
+                layer1.alive[self.snfa.start()] = true;
+            }
+            return;
+        }
+        let byte = self.input[pos - 2];
+        for s in 0..self.snfa.num_states() {
+            if !prev.alive[s] {
+                continue;
+            }
+            for &(class, t) in self.snfa.char_out(s) {
+                if !class.contains(byte) || !allowed(1, t, pos) {
+                    continue;
+                }
+                layer1.alive[t] = true;
+                merge_refs(&mut layer1.backref[t], &prev.backref[s]);
+            }
+        }
+    }
+
+    /// Layers 2 and 3 of `pos` from its settled layer 1: the E12 copies
+    /// and the open edges, then the balanced ε-reach edges.
+    #[allow(clippy::too_many_arguments)]
+    fn open_and_balance<F>(
+        &self,
+        pos: usize,
+        layer1: &mut Layer,
+        layer2: &mut Layer,
+        layer3: &mut Layer,
+        loq: &mut LoqTable,
+        refs_buf: &mut Vec<OpenRef>,
+        allowed: &F,
+    ) where
+        F: Fn(usize, StateId, usize) -> bool,
+    {
+        let states = self.snfa.num_states();
+        for s in 0..states {
+            if !allowed(2, s, pos) {
+                continue;
+            }
+            if matches!(self.snfa.label(s), Label::Open(_)) {
+                continue; // handled below in topological order
+            }
+            if layer1.alive[s] {
+                layer2.alive[s] = true;
+                // Layer 1's set is not read again for non-open states, so
+                // the copy of the Fig. 9 E12 rule can be a swap — no
+                // allocation, no element clone.
+                std::mem::swap(&mut layer2.backref[s], &mut layer1.backref[s]);
+            }
+        }
+        for &t in self.topo.open_order() {
+            if allowed(2, t, pos) {
+                self.eval_open_vertex(t, pos, layer1, layer2, loq, refs_buf);
+            }
+        }
+        for t in 0..states {
+            if !allowed(3, t, pos) {
+                continue;
+            }
+            for &s in self.topo.bal_in(t) {
+                if !layer2.alive[s] {
+                    continue;
+                }
+                layer3.alive[t] = true;
+                merge_refs(&mut layer3.backref[t], &layer2.backref[s]);
+            }
+        }
+    }
+
     /// Computes the candidate opens of the close vertex `(t, layer 1, pos)`
     /// given the current layer-1 frontier: the union of the backreferences
     /// of the alive predecessors, restricted to opens of `t`'s query.
@@ -1074,9 +1427,10 @@ impl Evaluator<'_, '_, '_> {
         for &o in candidates {
             let p = open_ref_pos(o);
             let has_loq = loq_of(self.topo, loq, o).is_some();
-            match groups.iter_mut().find(|(gp, _)| *gp == p) {
-                Some((_, h)) => *h |= has_loq,
-                None => groups.push((p, has_loq)),
+            // Sorted candidates put the opens of one position side by side.
+            match groups.last_mut() {
+                Some((gp, h)) if *gp == p => *h |= has_loq,
+                _ => groups.push((p, has_loq)),
             }
         }
         groups
@@ -1154,7 +1508,8 @@ impl Evaluator<'_, '_, '_> {
                 close_cache[t] = Some(CachedClose { candidates, groups });
             }
         }
-        if wanted.is_empty() {
+        // A scheduled line has every answer already.
+        if wanted.is_empty() || self.schedule.is_some() {
             return true;
         }
         let plane = self
@@ -1261,7 +1616,7 @@ impl Evaluator<'_, '_, '_> {
     /// backreference rules Bo (the vertex references itself) and the LOQ
     /// bookkeeping needed by rule Bc at the matching close.
     fn eval_open_vertex(
-        &mut self,
+        &self,
         t: StateId,
         pos: usize,
         layer1: &Layer,
@@ -1315,6 +1670,16 @@ impl Evaluator<'_, '_, '_> {
     ) -> Option<bool> {
         debug_assert!(open_pos <= close_pos);
         self.report.oracle_calls += 1;
+        if let Some(schedule) = &self.schedule {
+            let answer = schedule.answer(t, open_pos, close_pos);
+            debug_assert!(
+                answer.is_some(),
+                "a scheduled line asked an unscheduled question"
+            );
+            if answer.is_some() {
+                return answer;
+            }
+        }
         match &mut self.plane {
             Some(plane) => {
                 let qid = plane.table.state_query[t].expect("close states carry a query");

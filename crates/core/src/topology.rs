@@ -47,6 +47,9 @@ pub struct GadgetTopology {
     /// evaluator keys its LOQ arena by `(open index, position)` arithmetic
     /// instead of hashing.
     open_index: Vec<u32>,
+    /// Whether no open or close state reaches an open state: see
+    /// [`answer_free_opens`](Self::answer_free_opens).
+    answer_free_opens: bool,
 }
 
 impl GadgetTopology {
@@ -113,6 +116,7 @@ impl GadgetTopology {
         for (i, &s) in open_states.iter().enumerate() {
             open_index[s] = i as u32;
         }
+        let answer_free_opens = !reaches_an_open(snfa);
         GadgetTopology {
             close_in: Csr::from_lists(close_in),
             open_in: Csr::from_lists(open_in),
@@ -124,6 +128,7 @@ impl GadgetTopology {
             open_order,
             query,
             open_index,
+            answer_free_opens,
         }
     }
 
@@ -191,6 +196,45 @@ impl GadgetTopology {
     pub fn query(&self, s: StateId) -> Option<&QueryName> {
         self.query[s].as_ref()
     }
+
+    /// Whether the open vertices of the query graph, and the
+    /// backreference sets they seed, are the same whatever the oracle
+    /// answers: no SNFA path leads from an open or a close state to an
+    /// open state.  Then no query nests inside another (the LOQ sets stay
+    /// empty), and an oracle-decided close vertex can never make an open
+    /// vertex alive, so every close vertex's candidate opens are known
+    /// before any question is answered.
+    pub fn answer_free_opens(&self) -> bool {
+        self.answer_free_opens
+    }
+}
+
+/// Whether some SNFA path of one or more steps (ε or character) leads from
+/// an open or a close state to an open state.
+fn reaches_an_open(snfa: &Snfa) -> bool {
+    let mut seen = vec![false; snfa.num_states()];
+    let mut stack: Vec<StateId> = snfa
+        .states()
+        .filter(|&s| !snfa.label(s).is_blank())
+        .collect();
+    let successors = |s: StateId| {
+        snfa.eps_out(s)
+            .iter()
+            .copied()
+            .chain(snfa.char_out(s).iter().map(|&(_, t)| t))
+    };
+    while let Some(s) = stack.pop() {
+        for t in successors(s) {
+            if matches!(snfa.label(t), Label::Open(_)) {
+                return true;
+            }
+            if !seen[t] {
+                seen[t] = true;
+                stack.push(t);
+            }
+        }
+    }
+    false
 }
 
 /// Kahn's algorithm restricted to the given nodes, with predecessors
@@ -322,6 +366,21 @@ mod tests {
                     .count(),
                 "{name}: close order misses states"
             );
+        }
+    }
+
+    #[test]
+    fn answer_free_opens_excludes_nested_and_sequenced_queries() {
+        for (pattern, free) in [
+            ("(ab|c)*d", true),
+            ("x(?<Q>: a+)y", true),
+            ("Subject: .*(?<Medicine name>: [a-z]+).*", true),
+            ("<q>a|<q>b", true),
+            ("(?<A>: [a-z]+) (?<B>: [a-z]+)", false),
+            ("(<q>)*", false),
+            ("(?<Celebrity>: (?<City>: [a-z]+) [a-z]+)", false),
+        ] {
+            assert_eq!(topology(pattern).1.answer_free_opens(), free, "{pattern}");
         }
     }
 

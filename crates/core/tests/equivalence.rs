@@ -11,10 +11,13 @@
 //! suite is deterministic without external crates.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex};
 
-use semre_core::{DpMatcher, Matcher, MatcherConfig};
-use semre_oracle::{Oracle, PredicateOracle};
+use semre_automata::{compile, EpsClosure};
+use semre_core::{DpMatcher, EvalReport, GadgetTopology, Matcher, MatcherConfig};
+use semre_oracle::{Oracle, PredicateOracle, ResolverPool};
 use semre_syntax::{CharClass, Semre};
 use semre_workloads::rng::StdRng as Rng;
 
@@ -182,4 +185,137 @@ fn batched_plane_is_no_worse_than_per_call() {
         );
         assert_eq!(b.keys_deduped, b.oracle_calls - b.unique_keys);
     }
+}
+
+/// Records the `(query, text)` questions that reach the wrapped oracle.
+struct Recording<O> {
+    inner: O,
+    asked: Mutex<BTreeSet<(String, Vec<u8>)>>,
+}
+
+impl<O: Oracle> Oracle for Recording<O> {
+    fn holds(&self, query: &str, text: &[u8]) -> bool {
+        self.asked
+            .lock()
+            .unwrap()
+            .insert((query.to_owned(), text.to_vec()));
+        self.inner.holds(query, text)
+    }
+}
+
+impl<O> Recording<O> {
+    fn new(inner: O) -> Self {
+        Recording {
+            inner,
+            asked: Mutex::new(BTreeSet::new()),
+        }
+    }
+
+    fn take(&self) -> BTreeSet<(String, Vec<u8>)> {
+        std::mem::take(&mut self.asked.lock().unwrap())
+    }
+}
+
+/// Evaluates `input` on a session over a one-worker resolver pool, parking
+/// and resuming until it is decided: the path on which a parked line's
+/// questions follow the breadth-first schedule (when the pattern allows
+/// one).
+fn run_parked<O: Oracle>(matcher: &Matcher<O>, pool: &ResolverPool, input: &[u8]) -> EvalReport {
+    let mut session = matcher.session_with_pool(pool);
+    let mut seen = pool.generation();
+    let mut outcome = matcher.try_run_in_session(input, &mut session);
+    loop {
+        match outcome {
+            Ok(report) => return report,
+            Err(parked) => {
+                seen = pool.wait_for_progress(seen);
+                outcome = matcher.resume_run_in_session(parked, input, &mut session);
+            }
+        }
+    }
+}
+
+/// The breadth-first schedule of a parked line, the per-position schedule
+/// of an inline session, and the per-call plane ask the backend the same
+/// set of `(query, text)` questions and agree on the verdict and on every
+/// count of the report but the round trips — on random SemREs, whether
+/// or not their opens allow a schedule (nested and sequenced queries,
+/// queries under a star do not).
+#[test]
+fn question_schedules_ask_identical_key_sets() {
+    let mut rng = Rng::seed_from_u64(0x5C4ED);
+    let (mut scheduled, mut fallback) = (0, 0);
+    for case in 0..600 {
+        let semre = random_semre(&mut rng, 4);
+        let input = random_input(&mut rng);
+        let seed = rng.gen_range(0..16u64);
+        for lazy_oracle in [true, false] {
+            let config = MatcherConfig {
+                lazy_oracle,
+                ..MatcherConfig::default()
+            };
+            let per_call_config = MatcherConfig {
+                batched_oracle: false,
+                ..config
+            };
+            let per_call = Matcher::with_config(
+                semre.clone(),
+                Recording::new(hash_oracle(seed)),
+                per_call_config,
+            );
+            let inline =
+                Matcher::with_config(semre.clone(), Recording::new(hash_oracle(seed)), config);
+            let parked = Matcher::with_config(semre.clone(), hash_oracle(seed), config);
+            let backend = Arc::new(Recording::new(hash_oracle(seed)));
+            let pool = ResolverPool::new(backend.clone(), 1, 0);
+            per_call.oracle().take();
+            inline.oracle().take();
+
+            let p = per_call.run(&input);
+            let i = inline.run(&input);
+            let s = run_parked(&parked, &pool, &input);
+            let label = format!(
+                "case {case}, lazy={lazy_oracle}: r = {semre}, w = {:?}",
+                String::from_utf8_lossy(&input)
+            );
+            let asked = backend.take();
+            assert_eq!(asked, inline.oracle().take(), "{label}");
+            assert_eq!(asked, per_call.oracle().take(), "{label}");
+            assert_eq!(
+                (
+                    s.matched,
+                    s.oracle_calls,
+                    s.unique_keys,
+                    s.keys_deduped,
+                    s.vertices_alive
+                ),
+                (
+                    i.matched,
+                    i.oracle_calls,
+                    i.unique_keys,
+                    i.keys_deduped,
+                    i.vertices_alive
+                ),
+                "{label}"
+            );
+            assert_eq!(
+                (s.matched, s.oracle_calls, s.vertices_alive),
+                (p.matched, p.oracle_calls, p.vertices_alive),
+                "{label}"
+            );
+            if !asked.is_empty() {
+                let snfa = compile(&semre);
+                let closure = EpsClosure::compute(&snfa, &hash_oracle(seed));
+                if GadgetTopology::new(&snfa, &closure).answer_free_opens() {
+                    scheduled += 1;
+                } else {
+                    fallback += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        scheduled > 20 && fallback > 20,
+        "{scheduled} scheduled, {fallback} fallback"
+    );
 }

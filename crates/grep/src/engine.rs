@@ -19,11 +19,15 @@
 //! parked, the driver takes one progress step and resumes the parked
 //! lines from their checkpoints.  On the synchronous plane the progress
 //! step asks the union of the parked lines' missing keys in one backend
-//! round trip ([`BatchSession::flush_deferred`]), so round trips follow
-//! the deepest line of a chunk rather than the sum of its lines; on the
-//! overlapped plane it waits for the resolver pool to publish answers.
-//! A synchronous session whose backend answers quicker than parking a
-//! line costs asks inline instead, and its lines do not park.
+//! round trip ([`BatchSession::flush_deferred`]); on the overlapped plane
+//! it waits for the resolver pool to publish answers.  A parked line asks
+//! its close vertices' candidate chains breadth-first (the evaluator's
+//! question schedule), so a chunk's round trips follow the longest
+//! candidate chain of any of its lines, not the sum of its lines, nor the
+//! sum of a line's chains.  A synchronous session whose backend answers
+//! quicker than parking a line costs asks inline instead, and its lines
+//! do not park.  The time budget and the [`ScanControl`] are polled when a
+//! line is admitted and before every round.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -347,6 +351,40 @@ struct FaultOutcome {
     fault: Option<OracleError>,
 }
 
+/// The scan-wide stop conditions every chunk polls — the time budget and
+/// the cooperative [`ScanControl`] — with the flags that record a trip and
+/// stop the other workers from claiming chunks.
+struct Limits<'a> {
+    started: Instant,
+    options: &'a ScanOptions,
+    timed_out: &'a AtomicBool,
+    stopped: &'a AtomicBool,
+    interrupt_slot: &'a Mutex<Option<ScanInterrupt>>,
+}
+
+impl Limits<'_> {
+    /// Whether the scan must stop now, recording why (the first cause
+    /// wins its slot).
+    fn tripped(&self) -> bool {
+        if let Some(budget) = self.options.time_budget {
+            if self.started.elapsed() >= budget {
+                self.timed_out.store(true, Ordering::Relaxed);
+                return true;
+            }
+        }
+        if let Some(interrupt) = self.options.control.interrupted() {
+            let mut slot = self
+                .interrupt_slot
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            slot.get_or_insert(interrupt);
+            self.stopped.store(true, Ordering::Relaxed);
+            return true;
+        }
+        false
+    }
+}
+
 /// Applies the scan's fault policy to one decided line, given the fault
 /// its evaluation recorded (if any), and returns the record to keep (if
 /// any) plus whether the scan must abort.
@@ -420,21 +458,32 @@ struct Parked<'l> {
 ///   another batch, but only after a round in which no line completed and
 ///   none advanced past its parked position.
 ///
-/// Resumes are cheap: a line with `k` flush points costs `O(|line|)`
-/// evaluator work *total* across all its resumptions, not `k` replays.
+/// A line parks once per round, so a chunk takes as many rounds as the
+/// longest run of dependent questions among its lines: with the
+/// evaluator's question schedule, the longest candidate chain of any
+/// close vertex (see `semre_core`'s evaluator), not the sum of a line's
+/// chains.  Resumes are cheap: a line with `k` flush points costs
+/// `O(|line|)` evaluator work *total* across all its resumptions, not `k`
+/// replays.
+///
 /// Returns the completed records (in whatever order lines resumed; callers
 /// re-sort by index).  Faulted lines go through `outcome` under `policy`;
 /// a [`FaultPolicy::Fail`] fault aborts the drain, abandoning the remaining
 /// parked lines (their keys are dropped, or completed with placeholders by
 /// the resolver pool, so nothing blocks — the scan is stopping anyway).
+/// `limits` are polled before every round; once they trip, the parked
+/// lines are abandoned the same way, and the second value is the first
+/// abandoned line's index, so the caller can cut the chunk's report back
+/// to the lines before it.
 fn drain_parked<M, T, F>(
     matcher: &M,
     session: &mut BatchSession<'_>,
     mut parked: Vec<Parked<'_>>,
     policy: FaultPolicy,
     outcome: &mut FaultOutcome,
+    limits: &Limits<'_>,
     per_line: &F,
-) -> Vec<(LineRecord, T)>
+) -> (Vec<(LineRecord, T)>, Option<usize>)
 where
     M: LineMatcher + ?Sized,
     F: Fn(
@@ -449,6 +498,10 @@ where
     // The pool generation seen before a round that made no progress.
     let mut stalled = None;
     while !parked.is_empty() {
+        if limits.tripped() {
+            let first = parked.iter().map(|line| line.index).min();
+            return (records, first);
+        }
         match (pool, stalled) {
             (None, _) => {
                 // Every parked line queued a key when it parked, and a
@@ -498,7 +551,7 @@ where
                         records.push((record, extra));
                     }
                     if abort {
-                        return records;
+                        return (records, None);
                     }
                 }
                 Err(state) => {
@@ -515,7 +568,7 @@ where
         parked = still;
         stalled = if advanced { None } else { generation };
     }
-    records
+    (records, None)
 }
 
 /// The one scan driver.  Chunks of `options.chunk_lines` lines are
@@ -565,6 +618,13 @@ where
     let stopped = AtomicBool::new(false);
     let fault_slot: Mutex<Option<OracleError>> = Mutex::new(None);
     let interrupt_slot: Mutex<Option<ScanInterrupt>> = Mutex::new(None);
+    let limits = Limits {
+        started,
+        options,
+        timed_out: &timed_out,
+        stopped: &stopped,
+        interrupt_slot: &interrupt_slot,
+    };
 
     type ChunkResult<T> = (usize, Vec<(LineRecord, T)>, semre::BatchStats, Vec<usize>);
     let worker = || -> Vec<ChunkResult<T>> {
@@ -585,18 +645,7 @@ where
             let mut parked: Vec<Parked> = Vec::new();
             let mut outcome = FaultOutcome::default();
             for (offset, line) in chunk.iter().enumerate() {
-                if let Some(budget) = options.time_budget {
-                    if started.elapsed() >= budget {
-                        timed_out.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
-                if let Some(interrupt) = options.control.interrupted() {
-                    let mut slot = interrupt_slot
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    slot.get_or_insert(interrupt);
-                    stopped.store(true, Ordering::Relaxed);
+                if limits.tripped() {
                     break;
                 }
                 let index = start_line + offset;
@@ -638,19 +687,26 @@ where
                     }
                 }
             }
-            // Every admitted line gets a verdict, even when a limit
-            // stopped the chunk early: parked lines already have questions
-            // queued or in flight.  (Except under a `Fail` abort: the scan
-            // is stopping, so the remaining parked lines are abandoned.)
+            // Admitted lines are drained to their verdicts until a limit
+            // trips between rounds; then the chunk keeps only the lines
+            // before its first unfinished one, so the report stays an
+            // honest prefix.  (A `Fail` abort abandons the parked lines
+            // at once: the scan is stopping.)
             if outcome.fault.is_none() {
-                records.extend(drain_parked(
+                let (drained, abandoned) = drain_parked(
                     matcher,
                     &mut session,
                     parked,
                     options.fault_policy,
                     &mut outcome,
+                    &limits,
                     &per_line,
-                ));
+                );
+                records.extend(drained);
+                if let Some(first) = abandoned {
+                    records.retain(|(record, _)| record.index < first);
+                    outcome.degraded.retain(|&index| index < first);
+                }
             }
             if let Some(error) = outcome.fault.take() {
                 let mut slot = fault_slot.lock().unwrap_or_else(PoisonError::into_inner);
@@ -843,7 +899,7 @@ fn line_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use semre_oracle::{Instrumented, SimLlmOracle};
+    use semre_oracle::{Instrumented, PredicateOracle, SimLlmOracle};
     use semre_syntax::parse;
     use semre_workloads::DelayOracle;
 
@@ -1114,6 +1170,101 @@ mod tests {
             report.records.iter().map(|r| r.matched).collect()
         };
         assert_eq!(verdicts(&chunk), verdicts(&sequential));
+    }
+
+    /// Within one line, the questions of different close positions do not
+    /// depend on each other's answers, so a parked line asks them
+    /// breadth-first: the first group of every close vertex's candidates
+    /// in one round, the next group of those still undecided in the next.
+    /// On `weekly report attached` the longest chain is the eight opens of
+    /// `attached`; the first round trip, which times the backend, asks the
+    /// line's first question alone, so the line takes 1 + 8 round trips —
+    /// for the same 71 keys that took 71 round trips asked one close
+    /// position at a time.
+    #[test]
+    fn a_parked_line_takes_one_round_trip_per_group_of_its_longest_chain() {
+        let pattern = "Subject: .*(?<Medicine name>: [a-z]+).*";
+        let line = vec!["Subject: weekly report attached".to_owned()];
+        let m = slow_matcher(pattern);
+        let sequential = scan(&m, &line, OracleStats::default, ScanOptions::unlimited());
+        m.oracle().reset();
+        let report = scan_lines(&m, &line, ScanOptions::batched(1));
+        assert_eq!(m.oracle().batches(), 9);
+        assert_eq!(m.oracle().stats().calls, 71);
+        assert_eq!(report.batch.backend_keys, 71);
+        assert_eq!(report.records[0].matched, sequential.records[0].matched);
+
+        // The resolver pool parks the line from its first question on, and
+        // may split a round between its two workers.
+        let backend = DelayOracle::sleeping(
+            SimLlmOracle::new(),
+            Duration::from_millis(1),
+            Duration::ZERO,
+        );
+        let pooled = semre::SemRegexBuilder::new()
+            .overlapped(2)
+            .build(pattern, backend)
+            .unwrap();
+        let report = scan_lines(&pooled, &line, ScanOptions::batched(1));
+        let stats = pooled.resolver_pool().expect("a pool").stats();
+        assert!(stats.batches <= 16, "{stats:?}");
+        assert_eq!(stats.backend_keys, 71, "{stats:?}");
+        assert_eq!(report.records[0].matched, sequential.records[0].matched);
+    }
+
+    /// The time budget and the scan control are polled between the rounds
+    /// of a chunk's drain, not only when a line is admitted: a line that
+    /// needs over a hundred round trips does not hold the scan past its
+    /// deadline, and the report keeps only the lines before the first one
+    /// left unfinished.
+    #[test]
+    fn a_deadline_stops_the_drain_within_a_round_trip() {
+        let backend = DelayOracle::sleeping(
+            PredicateOracle::new(|_: &str, text: &[u8]| text == b"viagra"),
+            Duration::from_millis(1),
+            Duration::ZERO,
+        );
+        let pattern = parse("Subject: .*(?<Medicine name>: .+).*").unwrap();
+        let m = Matcher::new(pattern, Instrumented::new(backend));
+        // The long line's last close vertex has a candidate open per byte
+        // after `Subject: `, none of them a medicine and no two texts
+        // alike: about 160 round trips.
+        let tail: String = (0..40).map(|i| format!("w{i} ")).collect();
+        let corpus = vec![
+            "Subject: viagra".to_owned(),
+            format!("Subject: {tail}"),
+            "Subject: viagra now".to_owned(),
+        ];
+        let deadline = Duration::from_millis(60);
+        let chunk = ScanOptions::batched(corpus.len());
+        for options in [
+            chunk
+                .clone()
+                .with_control(ScanControl::default().with_timeout(deadline)),
+            ScanOptions {
+                time_budget: Some(deadline),
+                ..chunk.clone()
+            },
+        ] {
+            m.oracle().reset();
+            let report = scan_lines(&m, &corpus, options);
+            assert!(
+                report.interrupted == Some(ScanInterrupt::Deadline) || report.timed_out,
+                "{report:?}"
+            );
+            assert!(
+                report.total_duration < deadline + Duration::from_millis(30),
+                "stopped after {:?} and {} round trips",
+                report.total_duration,
+                m.oracle().batches()
+            );
+            let kept: Vec<(usize, bool)> = report
+                .records
+                .iter()
+                .map(|r| (r.index, r.matched))
+                .collect();
+            assert_eq!(kept, [(0, true)]);
+        }
     }
 
     /// Nested queries enlist their keys in the collect phase, so when a

@@ -504,3 +504,42 @@ fn synchronous_scans_carry_many_keys_per_round_trip() {
     assert!(!sync_out.is_empty());
     assert_eq!(sync_out, pooled_out);
 }
+
+/// A parked line asks its close positions' questions breadth-first, so on
+/// a tree shaped like the `tree-sync` benchmark's (the default tree with
+/// a 600-line giant file, one scan thread, 1 ms round trips) a scan makes
+/// under a third of the round trips it made asking one close position at
+/// a time (259 on this tree), with the same backend keys, each logged
+/// once.
+#[test]
+fn breadth_first_schedules_cut_synchronous_round_trips_threefold() {
+    let scratch = Scratch::new("sync-breadth-first");
+    let tree = scratch.0.join("tree");
+    let config = CorpusTreeConfig {
+        seed: 1_000_003,
+        ..CorpusTreeConfig::default()
+    };
+    CorpusTree::generate_skewed(&config, 600)
+        .write_to(&tree)
+        .unwrap();
+    let mut args: Vec<String> =
+        "--batched --threads 1 --oracle-delay 1000 --split-bytes 4096 --stats --count"
+            .split(' ')
+            .map(String::from)
+            .collect();
+    let log = scratch.0.join("answers.log").display().to_string();
+    args.extend(["--answer-log".into(), log, PATTERN.into()]);
+    args.push(tree.display().to_string());
+    let options = CliOptions::parse(args).unwrap();
+    let outcome = run_paths(&options, &expand_targets(&options), &mut Vec::new()).unwrap();
+    let field = |prefix: &str, name: &str| stderr_field(&outcome.stderr, prefix, name);
+    let round_trips = field("shared_session:", "backend_calls");
+    let keys = field("shared_session:", "backend_keys");
+    assert!(round_trips * 3 <= 259, "{:?}", outcome.stderr);
+    assert_eq!(
+        keys,
+        field("answer_store:", "appended"),
+        "{:?}",
+        outcome.stderr
+    );
+}

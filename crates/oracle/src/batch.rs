@@ -596,7 +596,11 @@ fn resolve_cost_ordered(oracle: &dyn Oracle, misses: &[QueryKey<'_>]) -> Vec<boo
 /// background resolver pool; a [`deferring`](Self::deferring) session
 /// holds them until the caller's next
 /// [`flush_deferred`](Self::flush_deferred), which asks every line's
-/// missing keys in one round trip.
+/// missing keys in one round trip.  Once a session
+/// [waits for its round trips](Self::waits_for_round_trips), the
+/// evaluator sends a parked line's remaining questions one candidate
+/// depth per round, so the rounds a chunk needs follow its longest chain
+/// of dependent questions.
 pub struct BatchSession<'o> {
     oracle: &'o dyn Oracle,
     suspend: Suspend<'o>,
@@ -782,6 +786,22 @@ impl<'o> BatchSession<'o> {
     /// The backend this session resolves against.
     pub fn backend(&self) -> &'o dyn Oracle {
         self.oracle
+    }
+
+    /// Whether [`try_resolve`](BatchSession::try_resolve) holds misses
+    /// for a round trip known to be worth waiting for: the session submits
+    /// them to a resolver pool, or defers them and has measured a backend
+    /// round trip of at least `DEFER_ROUND_TRIP_FLOOR`.  A deferring
+    /// session that has not measured one yet defers its first round trip,
+    /// but does not count as waiting.
+    pub fn waits_for_round_trips(&self) -> bool {
+        match &self.suspend {
+            Suspend::Never => false,
+            Suspend::Pool(_) => true,
+            Suspend::Defer(deferred) => deferred
+                .last_round_trip
+                .is_some_and(|took| took >= DEFER_ROUND_TRIP_FLOOR),
+        }
     }
 
     /// Answers `batch[i]` in `result[i]`, consulting the session store

@@ -104,6 +104,8 @@ struct Queue {
     pending: Vec<(String, Vec<u8>)>,
     /// Keys currently inside a worker's backend round trip.
     in_flight: usize,
+    /// Workers currently inside a backend round trip.
+    busy: usize,
     /// Set on shutdown; workers exit once the queue drains.
     closed: bool,
     /// The first failure's error, kept as the pool's root cause.  Failed
@@ -428,11 +430,14 @@ fn worker(shared: &PoolShared) {
                     .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            // Claim at most a 1/threads share so concurrent workers split
-            // a burst instead of one worker serializing it.
-            let take = queue.pending.len().div_ceil(shared.threads).max(1);
+            // Claim an even share among the idle workers, so a burst is
+            // split across them instead of one worker serializing it, and
+            // the last idle worker leaves nothing queued behind it.
+            let idle = shared.threads.saturating_sub(queue.busy).max(1);
+            let take = queue.pending.len().div_ceil(idle);
             let batch: Vec<(String, Vec<u8>)> = queue.pending.drain(..take).collect();
             queue.in_flight += batch.len();
+            queue.busy += 1;
             batch
         };
 
@@ -466,6 +471,7 @@ fn worker(shared: &PoolShared) {
         {
             let mut queue = lock_queue(shared);
             queue.in_flight = queue.in_flight.saturating_sub(batch.len());
+            queue.busy = queue.busy.saturating_sub(1);
             queue.stats.batches += 1;
             queue.stats.backend_keys += batch.len() as u64;
             if let Some(error) = failure {

@@ -311,9 +311,10 @@ mod tests {
 
     #[test]
     fn cache_deduplicates_and_reports() {
-        let counted = std::sync::Arc::new(Instrumented::new(PredicateOracle::new(
-            |_, t: &[u8]| t.len() % 2 == 0,
-        )));
+        let counted =
+            std::sync::Arc::new(Instrumented::new(PredicateOracle::new(|_, t: &[u8]| {
+                t.len() % 2 == 0
+            })));
         let cached = crate::SharedSession::new(counted.clone());
         assert!(cached.is_empty());
         for _ in 0..5 {
