@@ -59,7 +59,7 @@
 use std::sync::Mutex;
 
 use semre_automata::{Label, Snfa, StateId};
-use semre_oracle::{BatchSession, LedgerSlot, Oracle, QueryKey, QueryLedger};
+use semre_oracle::{BatchSession, Oracle, QueryKey, QueryLedger};
 use semre_syntax::QueryName;
 
 use crate::topology::GadgetTopology;
@@ -462,17 +462,17 @@ fn flush_plane(plane: &mut Plane<'_, '_, '_>, input: &[u8]) -> bool {
 
 /// One close vertex's question chain in a [`Schedule`]: its candidate
 /// groups, as open positions in ascending order (the order the Fig. 9
-/// apply phase asks them in), stored in `Schedule::opens[start..end]`.
+/// apply phase asks them in), stored in `Schedule::opens` from `start` to
+/// the next chain's `start`.
 #[derive(Debug)]
 struct Chain {
     /// The close state and its position.
-    state: StateId,
+    state: u32,
     close: u32,
-    /// The ledger query id of the close state.
-    qid: u32,
     start: u32,
-    end: u32,
-    /// The next group to ask; every group before it has its answer.
+    /// The next group to ask, or to wait on while its round is in flight;
+    /// every group before it is answered (asked, under eager discharge).
+    /// The end of the chain's groups once the chain is decided.
     next: u32,
     /// Whether another chain asks the same query at the same position,
     /// so the two may share keys.
@@ -492,7 +492,7 @@ struct Chain {
 /// over its groups, and the lazy rule asks them in order up to the first
 /// true answer; the chains of different vertices are independent, so
 /// every round asks the next group of every chain still undecided (every
-/// group at once under eager discharge) in one ledger flush.  A line then
+/// group at once under eager discharge) in one round trip.  A line then
 /// takes as many round trips as its longest chain instead of the sum of
 /// its chains, and asks exactly the keys the forward pass would: each
 /// chain asks its own prefix whatever the order.  The answers stay here,
@@ -504,47 +504,62 @@ struct Schedule {
     opens: Vec<u32>,
     /// The answer of each group in `opens`, once asked.
     answers: Vec<Option<bool>>,
-    /// Chains that still have a group to ask, in chain order.
-    live: Vec<usize>,
-    /// The groups the round in flight asks, with their ledger slots.
-    asked: Vec<(usize, LedgerSlot)>,
+    /// The round in flight: the chain and group of each key it asks.
+    asked: Vec<(u32, u32)>,
+    /// Keys asked and rounds completed, for the report.
+    keys: u64,
+    rounds: u64,
 }
 
 impl Schedule {
     /// Adds the chain of the close vertex `(state, close)`.
-    fn push(&mut self, state: StateId, close: usize, qid: u32, groups: &[(usize, bool)]) {
-        let start = self.opens.len() as u32;
-        self.opens
-            .extend(groups.iter().map(|&(open, _)| open as u32));
+    fn push(&mut self, state: StateId, close: usize, groups: &[(usize, bool)]) {
         self.chains.push(Chain {
-            state,
+            state: state as u32,
             close: close as u32,
-            qid,
-            start,
-            end: self.opens.len() as u32,
-            next: start,
+            start: self.opens.len() as u32,
+            next: self.opens.len() as u32,
             shared: false,
         });
+        self.opens
+            .extend(groups.iter().map(|&(open, _)| open as u32));
     }
 
     /// Readies a swept schedule for its rounds: marks the chains that share
-    /// a query and a position, and makes every chain live.
-    fn seal(&mut self) {
-        let mut from = 0;
-        while from < self.chains.len() {
-            let close = self.chains[from].close;
-            let to = from + self.chains[from..].partition_point(|c| c.close == close);
-            for i in from..to {
-                let qid = self.chains[i].qid;
-                self.chains[i].shared = (from..to).any(|j| j != i && self.chains[j].qid == qid);
-            }
-            from = to;
+    /// a query and a position, and takes the answers the parked position
+    /// `from` already has from `ledger`.
+    fn seal(&mut self, table: &QueryTable, ledger: &QueryLedger<LedgerKey>, from: usize) {
+        for i in 0..self.chains.len() {
+            let shared = self
+                .chains_at(self.chains[i].close)
+                .any(|(j, _)| j != i && self.qid(table, j) == self.qid(table, i));
+            self.chains[i].shared = shared;
         }
+        self.opens.shrink_to_fit();
+        self.chains.shrink_to_fit();
         self.answers = vec![None; self.opens.len()];
-        self.live = (0..self.chains.len()).collect();
+        let parked: Vec<usize> = self.chains_at(from as u32).map(|(i, _)| i).collect();
+        for i in parked {
+            let qid = self.qid(table, i);
+            for group in self.chains[i].start as usize..self.end(i) {
+                self.answers[group] = ledger.resolved(&(qid, self.opens[group], from as u32));
+            }
+        }
     }
 
-    /// The chains closing at `close`.
+    /// Where chain `i`'s groups end in `opens`.
+    fn end(&self, i: usize) -> usize {
+        self.chains
+            .get(i + 1)
+            .map_or(self.opens.len(), |next| next.start as usize)
+    }
+
+    /// The ledger query id of chain `i`.
+    fn qid(&self, table: &QueryTable, i: usize) -> u32 {
+        table.state_query[self.chains[i].state as usize].expect("close states carry a query")
+    }
+
+    /// The chains closing at `close`, with their indices.
     fn chains_at(&self, close: u32) -> impl Iterator<Item = (usize, &Chain)> {
         let from = self.chains.partition_point(|c| c.close < close);
         self.chains[from..]
@@ -554,76 +569,118 @@ impl Schedule {
             .map(move |(offset, c)| (from + offset, c))
     }
 
-    /// The answer of the group at `open` in `chain`, if it has been asked.
-    fn group_answer(&self, chain: &Chain, open: u32) -> Option<bool> {
-        let groups = &self.opens[chain.start as usize..chain.end as usize];
-        let index = groups.binary_search(&open).ok()?;
-        self.answers[chain.start as usize + index]
+    /// The group of chain `i` whose opens are at `open`.
+    fn group_of(&self, i: usize, open: u32) -> Option<usize> {
+        let start = self.chains[i].start as usize;
+        let index = self.opens[start..self.end(i)].binary_search(&open).ok()?;
+        Some(start + index)
+    }
+
+    /// The answer known for `group` of chain `i`: its own, or that of a
+    /// chain asking the same key.
+    fn known(&self, table: &QueryTable, i: usize, group: usize) -> Option<bool> {
+        self.answers[group].or_else(|| {
+            let chain = &self.chains[i];
+            if !chain.shared {
+                return None;
+            }
+            let (qid, open) = (self.qid(table, i), self.opens[group]);
+            self.chains_at(chain.close)
+                .filter(|&(j, _)| j != i && self.qid(table, j) == qid)
+                .find_map(|(j, _)| self.answers[self.group_of(j, open)?])
+        })
+    }
+
+    /// Whether the round being enlisted already asks the key of `group`
+    /// of chain `i`, for another chain.
+    fn asked_for_another(&self, table: &QueryTable, i: usize, group: usize) -> bool {
+        let chain = &self.chains[i];
+        if !chain.shared {
+            return false;
+        }
+        let (qid, open) = (self.qid(table, i), self.opens[group]);
+        self.asked
+            .iter()
+            .rev()
+            .take_while(|&&(j, _)| self.chains[j as usize].close == chain.close)
+            .any(|&(j, g)| {
+                j as usize != i
+                    && self.qid(table, j as usize) == qid
+                    && self.opens[g as usize] == open
+            })
     }
 
     /// The answer the forward pass reads for the question of the close
     /// vertex `(t, close_pos)` about the opens at `open_pos`.
-    fn answer(&self, t: StateId, open_pos: usize, close_pos: usize) -> Option<bool> {
-        let (_, chain) = self
+    fn answer(
+        &self,
+        table: &QueryTable,
+        t: StateId,
+        open_pos: usize,
+        close_pos: usize,
+    ) -> Option<bool> {
+        let (i, _) = self
             .chains_at(close_pos as u32)
-            .find(|(_, c)| c.state == t)?;
-        self.group_answer(chain, open_pos as u32)
+            .find(|(_, c)| c.state as usize == t)?;
+        self.known(table, i, self.group_of(i, open_pos as u32)?)
     }
 
-    /// Enlists the next round: walks every live chain past the groups
-    /// whose answers are known (from an earlier round, from a chain
-    /// sharing the key, or from the ledger) and enlists its next group —
-    /// or, under eager discharge, all its remaining groups.  A chain
-    /// leaves the live set once it has asked its last group or, under
-    /// lazy discharge, found a true answer.
-    fn enlist_round(&mut self, ledger: &mut QueryLedger<LedgerKey>, lazy: bool) {
-        let mut kept = 0;
-        for k in 0..self.live.len() {
-            let i = self.live[k];
-            if self.advance(i, ledger, lazy) {
-                self.live[kept] = i;
-                kept += 1;
+    /// Enlists the next round in `asked`: walks every undecided chain past
+    /// the groups whose answers are known and enlists its next group — or,
+    /// under eager discharge, all its remaining groups.  A key another
+    /// chain of the round asks already is not enlisted twice.
+    fn enlist_round(&mut self, table: &QueryTable, lazy: bool) {
+        for i in 0..self.chains.len() {
+            loop {
+                let (group, end) = (self.chains[i].next as usize, self.end(i));
+                if group == end {
+                    break;
+                }
+                match self.known(table, i, group) {
+                    Some(answer) => {
+                        self.answers[group] = Some(answer);
+                        self.chains[i].next = if answer && lazy { end } else { group + 1 } as u32;
+                    }
+                    None => {
+                        if !self.asked_for_another(table, i, group) {
+                            self.asked.push((i as u32, group as u32));
+                        }
+                        if lazy {
+                            break;
+                        }
+                        self.chains[i].next += 1;
+                    }
+                }
             }
         }
-        self.live.truncate(kept);
     }
 
-    /// [`enlist_round`](Self::enlist_round) for chain `i`; returns
-    /// whether the chain stays live.
-    fn advance(&mut self, i: usize, ledger: &mut QueryLedger<LedgerKey>, lazy: bool) -> bool {
-        loop {
-            let chain = &self.chains[i];
-            if chain.next == chain.end {
-                return false;
-            }
-            let group = chain.next as usize;
-            let open = self.opens[group];
-            let known = self.answers[group].or_else(|| {
-                if !chain.shared {
-                    return None;
-                }
-                self.chains_at(chain.close)
-                    .filter(|&(j, c)| j != i && c.qid == chain.qid)
-                    .find_map(|(_, c)| self.group_answer(c, open))
-            });
-            let answer = known.or_else(|| {
-                let slot = ledger.enlist((chain.qid, open, chain.close));
-                let answer = ledger.answer(slot);
-                if answer.is_none() {
-                    self.asked.push((group, slot));
-                }
-                answer
-            });
-            match answer {
-                Some(answer) => self.answers[group] = Some(answer),
-                None if lazy => return true,
-                None => {}
-            }
-            self.chains[i].next += 1;
-            if answer == Some(true) && lazy {
-                return false;
-            }
+    /// The question `asked` entry `(chain, group)` stands for.
+    fn key<'k>(
+        &self,
+        table: &'k QueryTable,
+        input: &'k [u8],
+        (chain, group): (u32, u32),
+    ) -> QueryKey<'k> {
+        let qid = self.qid(table, chain as usize);
+        let (open, close) = (
+            self.opens[group as usize],
+            self.chains[chain as usize].close,
+        );
+        QueryKey::new(
+            table.queries[qid as usize].as_str(),
+            &input[open as usize - 1..close as usize - 1],
+        )
+    }
+
+    /// Takes the answers of the round in flight.
+    fn record(&mut self, answers: Vec<bool>) {
+        for (&(_, group), answer) in self.asked.iter().zip(answers) {
+            self.answers[group as usize] = Some(answer);
         }
+        self.keys += self.asked.len() as u64;
+        self.rounds += 1;
+        self.asked.clear();
     }
 }
 
@@ -867,7 +924,17 @@ pub(crate) fn evaluate_resumable<'a>(
     // allows one), whose rounds then run before the forward pass goes on.
     let pos = loop {
         if !evaluator.run_schedule() {
+            // Only the forward pass reads the co-reachability bits, and
+            // they cost a line more than its schedule does: a line parked
+            // on a round works them out again when its rounds are done.
+            scratch.coreach = Vec::new();
             break resume_at.expect("only a parked evaluation has a schedule");
+        }
+        if evaluator.schedule.is_some()
+            && evaluator.options.prune_coreachable
+            && scratch.coreach.is_empty()
+        {
+            evaluator.co_reachability(&mut scratch.coreach, &mut scratch.coreach_row);
         }
         let report = evaluator.run_inner(scratch, resume_at);
         let Some(pos) = evaluator.suspended_at else {
@@ -876,7 +943,7 @@ pub(crate) fn evaluate_resumable<'a>(
         if evaluator.schedule.is_some() || !evaluator.schedulable() {
             break pos;
         }
-        evaluator.schedule = Some(evaluator.sweep(pos, scratch));
+        evaluator.start_schedule(pos, scratch);
         evaluator.suspended_at = None;
         resume_at = Some(pos);
     };
@@ -995,8 +1062,12 @@ impl Evaluator<'_, '_, '_> {
         }
         match &self.plane {
             Some(plane) => {
-                report.unique_keys = plane.ledger.unique_keys();
-                report.batches = plane.ledger.stats().batches;
+                let (keys, rounds) = self
+                    .schedule
+                    .as_ref()
+                    .map_or((0, 0), |schedule| (schedule.keys, schedule.rounds));
+                report.unique_keys = plane.ledger.unique_keys() + keys;
+                report.batches = plane.ledger.stats().batches + rounds;
             }
             None => {
                 // Per-call: every request is a distinct round trip and
@@ -1240,11 +1311,6 @@ impl Evaluator<'_, '_, '_> {
             sweep: prev,
             ..
         } = scratch;
-        let table = self
-            .plane
-            .as_ref()
-            .expect("schedules run on the batched plane")
-            .table;
         let allowed = coreach_filter(coreach, states, self.options.prune_coreachable);
         prev.ensure(states);
         for s in (0..states).filter(|&s| prev3.alive[s]) {
@@ -1265,8 +1331,7 @@ impl Evaluator<'_, '_, '_> {
                     Some(c) if !c.is_empty() => c,
                     _ => continue,
                 };
-                let qid = table.state_query[t].expect("close states carry a query");
-                schedule.push(t, pos, qid, &self.group_candidates(&candidates, loq));
+                schedule.push(t, pos, &self.group_candidates(&candidates, loq));
                 // Rule Bc with no LOQ sets: a close vertex carries no
                 // backreferences, alive or not.
                 layer1.backref[t].clear();
@@ -1282,14 +1347,29 @@ impl Evaluator<'_, '_, '_> {
             }
         }
         debug_assert!(loq.is_empty(), "answer-free opens carry no LOQ sets");
-        schedule.seal();
         schedule
     }
 
-    /// Runs the schedule's rounds, one ledger flush each, until every
-    /// chain is decided (`true`, also without a schedule) or a flush
-    /// suspends (`false`: the round stays in flight, and the next call
-    /// retries its flush).
+    /// Gives a line parked at `from` its [`Schedule`]: the sweep, plus the
+    /// answers `from` already has from the ledger.  The keys the line is
+    /// parked on leave the ledger (unasked, so uncounted): the schedule's
+    /// first round asks them with the rest.
+    fn start_schedule(&mut self, from: usize, scratch: &mut EvalScratch) {
+        let mut schedule = self.sweep(from, scratch);
+        let plane = self
+            .plane
+            .as_mut()
+            .expect("schedules run on the batched plane");
+        schedule.seal(plane.table, &plane.ledger, from);
+        plane.ledger.discard_pending();
+        plane.ledger.forget();
+        self.schedule = Some(schedule);
+    }
+
+    /// Runs the schedule's rounds, one round trip through the session
+    /// each, until every chain is decided (`true`, also without a
+    /// schedule) or a round suspends (`false`: the round stays in flight,
+    /// and the next call asks it again).
     fn run_schedule(&mut self) -> bool {
         let lazy = self.options.lazy_oracle;
         let (Some(schedule), Some(plane)) = (&mut self.schedule, &mut self.plane) else {
@@ -1297,18 +1377,20 @@ impl Evaluator<'_, '_, '_> {
         };
         loop {
             if schedule.asked.is_empty() {
-                schedule.enlist_round(&mut plane.ledger, lazy);
-                if schedule.asked.is_empty() && plane.ledger.pending() == 0 {
+                schedule.enlist_round(plane.table, lazy);
+                if schedule.asked.is_empty() {
                     return true;
                 }
             }
-            if !flush_plane(plane, self.input) {
-                return false;
+            let batch: Vec<QueryKey<'_>> = schedule
+                .asked
+                .iter()
+                .map(|&entry| schedule.key(plane.table, self.input, entry))
+                .collect();
+            match plane.session.try_resolve(&batch) {
+                Some(answers) => schedule.record(answers),
+                None => return false,
             }
-            for (group, slot) in schedule.asked.drain(..) {
-                schedule.answers[group] = plane.ledger.answer(slot);
-            }
-            plane.ledger.forget();
         }
     }
 
@@ -1670,8 +1752,8 @@ impl Evaluator<'_, '_, '_> {
     ) -> Option<bool> {
         debug_assert!(open_pos <= close_pos);
         self.report.oracle_calls += 1;
-        if let Some(schedule) = &self.schedule {
-            let answer = schedule.answer(t, open_pos, close_pos);
+        if let (Some(schedule), Some(plane)) = (&self.schedule, &self.plane) {
+            let answer = schedule.answer(plane.table, t, open_pos, close_pos);
             debug_assert!(
                 answer.is_some(),
                 "a scheduled line asked an unscheduled question"

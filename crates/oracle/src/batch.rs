@@ -130,6 +130,21 @@ impl<K: Eq + Hash + Clone> QueryLedger<K> {
         self.answers[slot]
     }
 
+    /// The answer of `key`, if it is enlisted and resolved.
+    pub fn resolved(&self, key: &K) -> Option<bool> {
+        self.answers[*self.slots.get(key)?]
+    }
+
+    /// Drops the keys enlisted since the last flush, as if they had never
+    /// been enlisted: for a caller that will ask them another way.  Slots
+    /// handed out for them are invalid afterwards.
+    pub fn discard_pending(&mut self) {
+        for key in self.keys.drain(self.resolved..) {
+            self.slots.remove(&key);
+        }
+        self.answers.truncate(self.resolved);
+    }
+
     /// Number of enlisted keys not yet resolved.
     pub fn pending(&self) -> usize {
         self.keys.len() - self.resolved
