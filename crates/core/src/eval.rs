@@ -48,9 +48,9 @@
 //! position, a line's round trips add up the candidate chains of all its
 //! close vertices.  When no open or close state of the SNFA reaches an
 //! open state ([`GadgetTopology::answer_free_opens`]), the candidates of
-//! every close vertex are fixed before any answer arrives, so the first
-//! park sweeps the rest of the line into a [`Schedule`] and asks the
-//! chains breadth-first, one round per group depth: round trips follow
+//! every close vertex are fixed before any answer arrives, so the line's
+//! first park sweeps the rest of the line into a [`Schedule`] and asks
+//! the chains breadth-first, one round per group depth: round trips follow
 //! the longest chain.  Each chain still asks exactly its prefix up to the
 //! first true answer, so the keys, the counts and the verdict do not
 //! change.  Other patterns, search mode, inline sessions and the per-call
@@ -121,15 +121,17 @@ pub struct EvalReport {
     /// constructed).  Identical between the batched and per-call planes; in
     /// batched mode requests answered by the ledger never reach a backend.
     pub oracle_calls: u64,
-    /// Number of distinct `(query, start, end)` keys the ledger resolved.
-    /// Never exceeds `oracle_calls`; equals it on the per-call plane, where
-    /// nothing deduplicates.
+    /// Number of distinct `(query, start, end)` keys the ledger (and a
+    /// parked line's [`Schedule`]) resolved.  Never exceeds
+    /// `oracle_calls`; equals it on the per-call plane, where nothing
+    /// deduplicates.
     pub unique_keys: u64,
-    /// Number of batches flushed from the ledger.  Each flush is one round
-    /// trip to the resolving session, which may still answer some or all
-    /// keys from its shared content store — true backend round trips are
-    /// the session's `BatchStats::batches`.  On the per-call plane every
-    /// request is its own round trip, so this equals `oracle_calls`.
+    /// Number of batches flushed from the ledger, plus a parked line's
+    /// schedule rounds.  Each is one round trip to the resolving session,
+    /// which may still answer some or all keys from its shared content
+    /// store — true backend round trips are the session's
+    /// `BatchStats::batches`.  On the per-call plane every request is its
+    /// own round trip, so this equals `oracle_calls`.
     pub batches: u64,
     /// Logical requests answered without resolving a new key
     /// (`oracle_calls - unique_keys`).
@@ -350,7 +352,8 @@ type LedgerKey = (u32, u32, u32);
 /// answers its session does not have yet: the state positions before the
 /// suspension computed (the alive states of the `prev3` frontier with
 /// their backreference sets, the LOQ arena and the packed co-reachability
-/// bitmap), the question ledger (whose pending slots are exactly the keys
+/// bitmap, which a line parked on a schedule round leaves behind and works
+/// out again once its rounds are done), the question ledger (whose pending slots are exactly the keys
 /// the session is waiting on), the position and apply-phase place to
 /// continue at, and the line's question [`Schedule`] once it has one.
 /// The other buffers go back to the [`ScratchPool`] while the line is

@@ -637,13 +637,17 @@ enum Suspend<'o> {
 /// A backend round trip shorter than this is not worth parking lines
 /// for: a park and its resume cost a few microseconds of bookkeeping per
 /// question (about 7 µs on 800-byte lines), so a deferring session whose
-/// last round trip took less answers its misses inline, as an inline
-/// session would.
+/// fastest round trip took less answers its misses inline, as an inline
+/// session would.  The fastest, not the last: a backend's fixed cost per
+/// round trip is at most its fastest one, while a single slow one (a big
+/// batch, a descheduled thread) says little about it, and a quick backend
+/// that once looked slow would send whole question rounds, each slow for
+/// its size alone.
 pub(crate) const DEFER_ROUND_TRIP_FLOOR: Duration = Duration::from_micros(50);
 
 /// The misses of a deferring session: the keys asked since the last
 /// flush, the answers flushes brought back that lines still need, and how
-/// long the last backend round trip took.
+/// long the fastest backend round trip took.
 #[derive(Debug, Default)]
 struct Deferred {
     /// Keys missed since the last flush, in the order they were asked
@@ -660,9 +664,9 @@ struct Deferred {
     /// The latest failed flush's fault, recorded again for every
     /// evaluation that reads one of its failed keys.
     fault: Option<OracleError>,
-    /// The last backend round trip's duration; `None` before the first,
-    /// which is deferred.
-    last_round_trip: Option<Duration>,
+    /// The fastest backend round trip's duration; `None` before the
+    /// first, which is deferred.
+    fastest_round_trip: Option<Duration>,
 }
 
 /// One flushed key of a [`Deferred`] session.
@@ -678,8 +682,14 @@ impl Deferred {
     /// Whether misses should wait for the next flush: while the backend's
     /// round trips take long enough to be worth sharing between lines.
     fn worth_deferring(&self) -> bool {
-        self.last_round_trip
+        self.fastest_round_trip
             .map_or(true, |took| took >= DEFER_ROUND_TRIP_FLOOR)
+    }
+
+    /// Times a backend round trip that started at `started`.
+    fn timed(&mut self, started: Instant) {
+        let took = started.elapsed();
+        self.fastest_round_trip = Some(self.fastest_round_trip.map_or(took, |t| t.min(took)));
     }
 
     /// The answers to `misses` plus whether they took an inline backend
@@ -737,7 +747,7 @@ impl Deferred {
                 answers[i] = answer;
             }
             if !defer {
-                self.last_round_trip = Some(started.elapsed());
+                self.timed(started);
             }
         }
         // Without a fault the caller stores every answer of the batch.
@@ -773,7 +783,7 @@ impl<'o> BatchSession<'o> {
     /// that `oracle` prices at zero ([`Oracle::question_cost`]: already in
     /// a shared session's store or a tier memo) cost no round trip, so
     /// they are answered inline instead of parking the line.  So are all
-    /// misses while the backend's last round trip took less than
+    /// misses once a backend round trip has taken less than
     /// `DEFER_ROUND_TRIP_FLOOR` (50 µs): sharing a round trip that
     /// quick saves less than parking the lines costs.  The first round
     /// trip is always deferred.
@@ -805,17 +815,17 @@ impl<'o> BatchSession<'o> {
 
     /// Whether [`try_resolve`](BatchSession::try_resolve) holds misses
     /// for a round trip known to be worth waiting for: the session submits
-    /// them to a resolver pool, or defers them and has measured a backend
-    /// round trip of at least `DEFER_ROUND_TRIP_FLOOR`.  A deferring
-    /// session that has not measured one yet defers its first round trip,
-    /// but does not count as waiting.
+    /// them to a resolver pool, or defers them and has measured backend
+    /// round trips, none of them quicker than `DEFER_ROUND_TRIP_FLOOR`.  A
+    /// deferring session that has not measured one yet defers its first
+    /// round trip, but does not count as waiting.
     pub fn waits_for_round_trips(&self) -> bool {
         match &self.suspend {
             Suspend::Never => false,
             Suspend::Pool(_) => true,
-            Suspend::Defer(deferred) => deferred
-                .last_round_trip
-                .is_some_and(|took| took >= DEFER_ROUND_TRIP_FLOOR),
+            Suspend::Defer(deferred) => {
+                deferred.fastest_round_trip.is_some() && deferred.worth_deferring()
+            }
         }
     }
 
@@ -935,7 +945,7 @@ impl<'o> BatchSession<'o> {
         }
         let started = Instant::now();
         let answers = resolve_cost_ordered(self.oracle, &plan.misses);
-        deferred.last_round_trip = Some(started.elapsed());
+        deferred.timed(started);
         self.stats.batches += 1;
         let fault = take_fault();
         let failed = fault.is_some();
