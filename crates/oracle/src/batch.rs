@@ -1825,6 +1825,38 @@ mod tests {
         assert_eq!(oracle.batches(), session.stats().batches);
     }
 
+    /// The session is timed by its fastest round trip: once a quick
+    /// backend has answered quickly, one slow round trip (here a slow key;
+    /// on a real scan a big batch or a descheduled thread) does not make
+    /// it park lines again.
+    #[test]
+    fn a_slow_round_trip_does_not_make_a_quick_backend_defer() {
+        let oracle = Instrumented::new(PredicateOracle::new(|_, t: &[u8]| {
+            if t == b"slow" {
+                std::thread::sleep(2 * DEFER_ROUND_TRIP_FLOOR);
+            }
+            t == b"a"
+        }));
+        let mut session = BatchSession::deferring(&oracle);
+        assert_eq!(session.try_resolve(&keys(&[("q", b"a")])), None);
+        let texts: Vec<Vec<u8>> = (0..10).map(|i| vec![b'b', i]).collect();
+        let inline = texts.iter().any(|text| {
+            session.flush_deferred();
+            session.try_resolve(&[QueryKey::new("q", text)]).is_some()
+        });
+        assert!(inline, "a quick backend is asked inline");
+        assert!(!session.waits_for_round_trips());
+        assert_eq!(
+            session.try_resolve(&keys(&[("q", b"slow")])),
+            Some(vec![false])
+        );
+        assert_eq!(
+            session.try_resolve(&keys(&[("q", b"c")])),
+            Some(vec![false])
+        );
+        assert!(!session.waits_for_round_trips());
+    }
+
     #[test]
     fn session_distinguishes_queries_with_identical_text() {
         let oracle = PredicateOracle::new(|q: &str, _: &[u8]| q == "yes");
