@@ -477,9 +477,6 @@ struct Chain {
     /// every group before it is answered (asked, under eager discharge).
     /// The end of the chain's groups once the chain is decided.
     next: u32,
-    /// Whether another chain asks the same query at the same position,
-    /// so the two may share keys.
-    shared: bool,
 }
 
 /// The questions a parked line has left, resolved breadth-first.
@@ -522,22 +519,14 @@ impl Schedule {
             close: close as u32,
             start: self.opens.len() as u32,
             next: self.opens.len() as u32,
-            shared: false,
         });
         self.opens
             .extend(groups.iter().map(|&(open, _)| open as u32));
     }
 
-    /// Readies a swept schedule for its rounds: marks the chains that share
-    /// a query and a position, and takes the answers the parked position
-    /// `from` already has from `ledger`.
+    /// Readies a swept schedule for its rounds: takes the answers the
+    /// parked position `from` already has from `ledger`.
     fn seal(&mut self, table: &QueryTable, ledger: &QueryLedger<LedgerKey>, from: usize) {
-        for i in 0..self.chains.len() {
-            let shared = self
-                .chains_at(self.chains[i].close)
-                .any(|(j, _)| j != i && self.qid(table, j) == self.qid(table, i));
-            self.chains[i].shared = shared;
-        }
         self.opens.shrink_to_fit();
         self.chains.shrink_to_fit();
         self.answers = vec![None; self.opens.len()];
@@ -579,16 +568,13 @@ impl Schedule {
         Some(start + index)
     }
 
-    /// The answer known for `group` of chain `i`: its own, or that of a
-    /// chain asking the same key.
+    /// The answer known for `group` of chain `i`: its own, or that of
+    /// another chain asking the same key (the same query at the same
+    /// position, from another close state).
     fn known(&self, table: &QueryTable, i: usize, group: usize) -> Option<bool> {
         self.answers[group].or_else(|| {
-            let chain = &self.chains[i];
-            if !chain.shared {
-                return None;
-            }
             let (qid, open) = (self.qid(table, i), self.opens[group]);
-            self.chains_at(chain.close)
+            self.chains_at(self.chains[i].close)
                 .filter(|&(j, _)| j != i && self.qid(table, j) == qid)
                 .find_map(|(j, _)| self.answers[self.group_of(j, open)?])
         })
@@ -597,15 +583,12 @@ impl Schedule {
     /// Whether the round being enlisted already asks the key of `group`
     /// of chain `i`, for another chain.
     fn asked_for_another(&self, table: &QueryTable, i: usize, group: usize) -> bool {
-        let chain = &self.chains[i];
-        if !chain.shared {
-            return false;
-        }
+        let close = self.chains[i].close;
         let (qid, open) = (self.qid(table, i), self.opens[group]);
         self.asked
             .iter()
             .rev()
-            .take_while(|&&(j, _)| self.chains[j as usize].close == chain.close)
+            .take_while(|&&(j, _)| self.chains[j as usize].close == close)
             .any(|&(j, g)| {
                 j as usize != i
                     && self.qid(table, j as usize) == qid
