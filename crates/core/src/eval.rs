@@ -122,7 +122,7 @@ pub struct EvalReport {
     /// batched mode requests answered by the ledger never reach a backend.
     pub oracle_calls: u64,
     /// Number of distinct `(query, start, end)` keys the ledger (and a
-    /// parked line's [`Schedule`]) resolved.  Never exceeds
+    /// parked line's question schedule) resolved.  Never exceeds
     /// `oracle_calls`; equals it on the per-call plane, where nothing
     /// deduplicates.
     pub unique_keys: u64,
@@ -355,7 +355,7 @@ type LedgerKey = (u32, u32, u32);
 /// bitmap, which a line parked on a schedule round leaves behind and works
 /// out again once its rounds are done), the question ledger (whose pending slots are exactly the keys
 /// the session is waiting on), the position and apply-phase place to
-/// continue at, and the line's question [`Schedule`] once it has one.
+/// continue at, and the line's question schedule once it has one.
 /// The other buffers go back to the [`ScratchPool`] while the line is
 /// parked, and the kept ones are moved, never copied, so a park or a
 /// resume costs `O(states)` whatever the line length.
